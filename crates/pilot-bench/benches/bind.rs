@@ -1,46 +1,19 @@
 //! Micro-benchmark: one late-binding pass over a deep pending queue.
 //!
-//! Compares the original rebuild-per-bind loop (`per_unit_pass`, kept as the
-//! executable specification) against the batched pass both backends now run
-//! (`batched_pass`: one snapshot build, in-place capacity deltas). The
-//! managers wake the pass on every capacity change, so its cost bounds
-//! middleware bind throughput under pilot churn (EXP SC-1 sweeps the same
-//! axes end to end).
+//! `bind_pass` compares the original rebuild-per-bind loop (`per_unit_pass`,
+//! kept as the executable specification) against the production pass
+//! (`batched_pass`, an adaptor over `queue_pass`: one snapshot build,
+//! in-place capacity deltas) with every pilot idle. `saturated_pass` runs
+//! `queue_pass` itself where a burst spends its life: full pilots, a deep
+//! backlog, one core coming free per pass. The managers wake the pass on
+//! every capacity change, so its cost bounds middleware bind throughput (EXP
+//! SC-1 sweeps the same axes and shares these fixtures).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pilot_core::binding::{batched_pass, per_unit_pass, BindStats, PendingUnit};
-use pilot_core::describe::{DataLocation, UnitDescription};
-use pilot_core::ids::{PilotId, UnitId};
-use pilot_core::scheduler::{LoadBalanceScheduler, PilotSnapshot};
-use pilot_infra::types::SiteId;
+use pilot_bench::experiments::sc::{pending, pilots, SaturatedPass};
+use pilot_core::binding::{batched_pass, per_unit_pass, BindStats};
+use pilot_core::scheduler::LoadBalanceScheduler;
 use std::hint::black_box;
-
-fn pilots(n: usize) -> Vec<PilotSnapshot> {
-    (0..n)
-        .map(|i| PilotSnapshot {
-            pilot: PilotId(i as u64 + 1),
-            site: SiteId((i % 4) as u16),
-            total_cores: 32,
-            free_cores: 32,
-            bound_units: 0,
-            remaining_walltime_s: 3600.0 - i as f64,
-        })
-        .collect()
-}
-
-fn pending(n: usize) -> Vec<PendingUnit> {
-    (0..n)
-        .map(|i| PendingUnit {
-            unit: UnitId(i as u64 + 1),
-            desc: UnitDescription::new(1)
-                .with_priority((i % 7) as i32 - 3)
-                .with_inputs(vec![DataLocation::new(
-                    1_000_000,
-                    vec![SiteId((i % 4) as u16)],
-                )]),
-        })
-        .collect()
-}
 
 fn bench_bind(c: &mut Criterion) {
     let mut group = c.benchmark_group("bind_pass");
@@ -83,5 +56,25 @@ fn bench_bind(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_bind);
+/// The regime a burst lives in: one completion's worth of capacity (or none)
+/// against a deep backlog on 32 full pilots. The pass must cost what it
+/// binds; the parent commit's pass re-offered the whole backlog here. One
+/// iteration is 100 passes — a single one is too short to time.
+fn bench_saturated(c: &mut Criterion) {
+    let mut group = c.benchmark_group("saturated_pass");
+    group.sample_size(50);
+    for &(depth, free) in &[(1000usize, 1u32), (10_000, 1), (10_000, 0)] {
+        let mut sat = SaturatedPass::new(depth, 32, free);
+        group.bench_function(format!("{depth}u_32p_{free}free_x100"), |b| {
+            b.iter(|| {
+                for _ in 0..100 {
+                    black_box(sat.step().binds.len());
+                }
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_bind, bench_saturated);
 criterion_main!(benches);

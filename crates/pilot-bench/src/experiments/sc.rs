@@ -1,16 +1,21 @@
 //! SC experiments: scheduler/binding hot-path scaling. SC-1 sweeps
 //! pending-queue depth x pilot count and compares the original
-//! rebuild-per-bind pass against the batched pass both backends now run.
+//! rebuild-per-bind pass against the pass every driver now runs, then shows
+//! that a pass against saturated pilots costs what it binds, not what is
+//! queued. The fixtures are shared with the `bind` bench.
 
 use super::common;
-use pilot_core::binding::{batched_pass, per_unit_pass, BindStats, PendingUnit};
+use pilot_core::binding::{
+    batched_pass, per_unit_pass, queue_pass, BindStats, PendingQueue, PendingUnit, QueuePassOutcome,
+};
 use pilot_core::describe::{DataLocation, UnitDescription};
 use pilot_core::ids::{PilotId, UnitId};
 use pilot_core::scheduler::{LoadBalanceScheduler, PilotSnapshot};
 use pilot_core::WallClock;
 use pilot_infra::types::SiteId;
 
-fn pilots(n: usize) -> Vec<PilotSnapshot> {
+/// `n` idle 32-core pilots over four sites.
+pub fn pilots(n: usize) -> Vec<PilotSnapshot> {
     (0..n)
         .map(|i| PilotSnapshot {
             pilot: PilotId(i as u64 + 1),
@@ -23,7 +28,8 @@ fn pilots(n: usize) -> Vec<PilotSnapshot> {
         .collect()
 }
 
-fn pending(n: usize) -> Vec<PendingUnit> {
+/// `n` 1-core units with mixed priorities and one site-local input each.
+pub fn pending(n: usize) -> Vec<PendingUnit> {
     (0..n)
         .map(|i| PendingUnit {
             unit: UnitId(i as u64 + 1),
@@ -60,10 +66,62 @@ fn measure(
     (binds as f64 / secs, stats)
 }
 
+/// The regime a burst spends its life in: `depth` units queued against
+/// full pilots, with `free` cores — one completion's worth — back on one of
+/// them.
+pub struct SaturatedPass {
+    pilots: Vec<PilotSnapshot>,
+    units: Vec<PendingUnit>,
+    queue: PendingQueue,
+}
+
+impl SaturatedPass {
+    /// `depth` pending units, `n_pilots` full pilots, `free` cores free.
+    pub fn new(depth: usize, n_pilots: usize, free: u32) -> Self {
+        let mut pilots = pilots(n_pilots);
+        for p in &mut pilots {
+            p.free_cores = 0;
+        }
+        pilots[n_pilots / 2].free_cores = free;
+        let units = pending(depth);
+        let mut queue = PendingQueue::default();
+        for u in &units {
+            queue.push(u.unit, u.desc.priority, u.desc.cores);
+        }
+        SaturatedPass {
+            pilots,
+            units,
+            queue,
+        }
+    }
+
+    /// One production pass over a fresh copy of the snapshots (what every
+    /// driver builds per pass). Whatever it binds is queued again, so every
+    /// call sees the same backlog.
+    pub fn step(&mut self) -> QueuePassOutcome {
+        let units = &self.units;
+        let desc = |uid: UnitId| &units[uid.0 as usize - 1].desc;
+        let mut snaps = self.pilots.clone();
+        let out = queue_pass(
+            &mut LoadBalanceScheduler,
+            &mut snaps,
+            &mut self.queue,
+            |uid| Some(desc(uid)),
+        );
+        for &(uid, _) in &out.binds {
+            self.queue.push(uid, desc(uid).priority, desc(uid).cores);
+        }
+        out
+    }
+}
+
 /// SC-1: late-binding pass throughput, pending depth x pilot count.
 /// The batched pass builds one snapshot vector per pass instead of one per
 /// bind; at 1k pending units x 32 pilots that is a >=5x reduction in rebuilds
-/// (in practice ~1000x) and a corresponding binds/sec jump.
+/// (in practice ~1000x) and a corresponding binds/sec jump. The second table
+/// is the saturated regime: the pass offers exactly what one completion's
+/// worth of capacity can take — nothing at all when every pilot is full —
+/// whatever the backlog.
 pub fn run_sc1(quick: bool) -> String {
     let depths: &[usize] = if quick { &[64, 256] } else { &[64, 256, 1024] };
     let pilot_counts: &[usize] = &[8, 32];
@@ -101,6 +159,40 @@ pub fn run_sc1(quick: bool) -> String {
         worst_rebuild_ratio >= 5.0,
         "batched pass must cut snapshot rebuilds at least 5x (got {worst_rebuild_ratio:.1}x)"
     );
+
+    out.push_str(
+        "\n#### saturated pass: one completion's worth of capacity vs the backlog (32 full pilots)\n\n\
+         | pending | free cores | offered | binds | us/pass |\n\
+         |---|---|---|---|---|\n",
+    );
+    let backlogs: &[usize] = if quick { &[1000] } else { &[1000, 10_000] };
+    let sat_reps = if quick { 100 } else { 1000 };
+    for &depth in backlogs {
+        for free in [1u32, 0] {
+            let mut sat = SaturatedPass::new(depth, 32, free);
+            let first = sat.step();
+            assert_eq!(
+                (first.offered, first.binds.len()),
+                (u64::from(free), free as usize),
+                "a pass offers what has room, not the backlog ({depth} pending, {free} free)"
+            );
+            let start = WallClock::start();
+            for _ in 0..sat_reps {
+                let _ = std::hint::black_box(sat.step());
+            }
+            out.push_str(&format!(
+                "| {depth} | {} | {} | {} | {:.2} |\n",
+                if free == 0 {
+                    "0 (all full)".into()
+                } else {
+                    free.to_string()
+                },
+                first.offered,
+                first.binds.len(),
+                start.elapsed_s() * 1e6 / f64::from(sat_reps),
+            ));
+        }
+    }
     common::emit(out)
 }
 
@@ -113,5 +205,6 @@ mod tests {
         let report = run_sc1(true);
         assert!(report.contains("SC-1"));
         assert!(report.contains("acceptance floor"));
+        assert!(report.contains("| 1000 | 0 (all full) | 0 | 0 |"));
     }
 }

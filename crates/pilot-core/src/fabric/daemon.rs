@@ -178,7 +178,7 @@ impl HostDaemon {
                     if s.epoch != epoch {
                         continue;
                     }
-                    let (id, priority) = (unit.id, unit.desc.priority);
+                    let (id, priority, cores) = (unit.id, unit.desc.priority, unit.desc.cores);
                     s.units.insert(
                         id,
                         UnitRt {
@@ -187,7 +187,7 @@ impl HostDaemon {
                             pilot: None,
                         },
                     );
-                    s.pending.push(id, priority);
+                    s.pending.push(id, priority, cores);
                 }
             }
         }

@@ -53,6 +53,13 @@ pub trait Scheduler: Send {
     ///
     /// `pilots` contains only *active* pilots; the scheduler must return one
     /// with enough free cores (the manager asserts this).
+    ///
+    /// `select` is called only for a unit that fits on at least one
+    /// snapshot: a pass in which it fits nowhere is not a scheduling
+    /// opportunity, and the binding pass does not offer it (see
+    /// [`crate::binding::queue_pass`]). A policy that counts refusals — a
+    /// wait budget, an aging rule — therefore counts passes in which it
+    /// *chose* to wait, never passes in which nothing had room.
     fn select(&mut self, unit: &UnitRequest<'_>, pilots: &[PilotSnapshot]) -> Option<PilotId>;
 
     /// Called once at the start of every binding pass, before any `select`.
@@ -167,9 +174,19 @@ impl Scheduler for LoadBalanceScheduler {
 /// least-loaded feasible pilot. Without the bound, a unit whose only
 /// data-local pilot is permanently full (or stuck pending) starves forever —
 /// exactly the regime pilot churn and fault injection produce.
+///
+/// The budget is spent only on passes in which the unit *could* have gone
+/// remote and waited instead (the [`Scheduler::select`] contract: a unit
+/// that fits nowhere is not offered). Under a saturated burst — one pass per
+/// completion, every pilot full — the budget therefore survives until a
+/// core actually frees up, and delay scheduling keeps working under load
+/// instead of switching itself off after `max_wait_passes` completions
+/// anywhere.
 #[derive(Debug, Clone)]
 pub struct DataAwareScheduler {
-    /// Refused passes a unit waits for a local slot before going remote.
+    /// Passes a unit declines a remote pilot with room, waiting for a local
+    /// slot, before it goes remote. Passes in which the unit fits on no pilot
+    /// at all are not offered to `select` and do not count.
     pub max_wait_passes: u32,
     /// Refused-pass count per still-waiting unit (cleared on bind).
     deferrals: HashMap<UnitId, u32>,

@@ -358,8 +358,7 @@ impl SystemMachine {
         u.generation += 1;
         u.times.bound = None;
         u.times.started = None;
-        let priority = u.desc.priority;
-        self.pending.push(uid, priority);
+        self.pending.push(uid, u.desc.priority, u.desc.cores);
         self.rel.rebinds += 1;
         self.trace.mark(now, "cu.requeued", uid.0);
         u.desc.cores
@@ -431,11 +430,12 @@ impl SystemMachine {
         }
     }
 
-    /// One batched late-binding pass: build the pilot snapshots once, offer
-    /// every pending unit in priority order, and apply capacity deltas to the
-    /// in-memory snapshots after each bind. Binding only shrinks capacity, so
-    /// a refused unit cannot become bindable later in the same pass and the
-    /// placements match the old rebuild-per-bind loop (see `crate::binding`).
+    /// One late-binding pass: build the pilot snapshots once, offer — in
+    /// priority order — the pending units whose core demand fits some
+    /// snapshot, and apply capacity deltas to the in-memory snapshots after
+    /// each bind. Units that fit nowhere are not touched, so the pass costs
+    /// what it binds, not what is queued; placements match the old
+    /// rebuild-per-bind loop (see `crate::binding`).
     fn bind_pass(&mut self, now: SimTime, out: &mut Outbox<Ev>) {
         if self.pending.is_empty() {
             return;
@@ -590,8 +590,7 @@ impl Machine for SystemMachine {
                 };
                 UnitState::advance(&mut u.state, UnitState::Pending);
                 u.times.submitted = Self::now_s(now);
-                let priority = u.desc.priority;
-                self.pending.push(uid, priority);
+                self.pending.push(uid, u.desc.priority, u.desc.cores);
                 self.trace.mark(now, "cu.submitted", uid.0);
                 self.schedule(now, out);
             }
@@ -704,8 +703,7 @@ impl Machine for SystemMachine {
                 }
                 // The retry edge: Failed → Pending, back into late binding.
                 UnitState::advance(&mut u.state, UnitState::Pending);
-                let priority = u.desc.priority;
-                self.pending.push(uid, priority);
+                self.pending.push(uid, u.desc.priority, u.desc.cores);
                 self.trace.mark(now, "cu.retry", uid.0);
                 self.schedule(now, out);
             }

@@ -732,7 +732,7 @@ impl Mgr {
             return;
         }
         let tag = desc.tag.clone();
-        let priority = desc.priority;
+        let (priority, cores) = (desc.priority, desc.cores);
         self.units.insert(
             id,
             UnitRt {
@@ -750,7 +750,7 @@ impl Mgr {
                 submitted_at: now,
             },
         );
-        self.pending.push(id, priority);
+        self.pending.push(id, priority, cores);
         self.registry.update(|r| {
             r.units.insert(
                 id,
@@ -781,11 +781,12 @@ impl Mgr {
         self.sched_dirty = true;
     }
 
-    /// One batched late-binding pass: build the pilot snapshots once, offer
-    /// every pending unit in priority order, and apply capacity deltas to the
-    /// in-memory snapshots after each bind. Binding only shrinks capacity, so
-    /// a refused unit cannot become bindable later in the same pass and the
-    /// placements match the old rebuild-per-bind loop (see `crate::binding`).
+    /// One late-binding pass: build the pilot snapshots once, offer — in
+    /// priority order — the pending units whose core demand fits some
+    /// snapshot, and apply capacity deltas to the in-memory snapshots after
+    /// each bind. Units that fit nowhere are not touched, so the pass costs
+    /// what it binds, not what is queued; placements match the old
+    /// rebuild-per-bind loop (see `crate::binding`).
     fn bind_pass(&mut self) {
         if self.pending.is_empty() {
             return;
@@ -1090,8 +1091,7 @@ impl Mgr {
         }
         u.retry_pending = false;
         UnitState::advance(&mut u.state, UnitState::Pending);
-        let priority = u.desc.priority;
-        self.pending.push(uid, priority);
+        self.pending.push(uid, u.desc.priority, u.desc.cores);
         self.registry.update(|r| {
             if let Some(up) = r.units.get_mut(&uid) {
                 UnitState::publish(&mut up.state, UnitState::Pending);
@@ -1158,8 +1158,7 @@ impl Mgr {
                 UnitState::advance(&mut u.state, UnitState::Pending);
                 u.pilot = None;
                 u.generation += 1;
-                let priority = u.desc.priority;
-                self.pending.push(uid, priority);
+                self.pending.push(uid, u.desc.priority, u.desc.cores);
                 self.rel.rebinds += 1;
                 self.registry.update(|r| {
                     if let Some(up) = r.units.get_mut(&uid) {
@@ -1871,6 +1870,31 @@ mod tests {
             "batched pass builds exactly one snapshot vector per pass"
         );
         assert!(report.bind.candidate_comparisons >= 6);
+    }
+
+    #[test]
+    fn bind_cost_tracks_binds_not_backlog() {
+        // 2 000 no-op units against one 2-core pilot: nearly every pass runs
+        // with a deep backlog and at most two cores free. A pass that
+        // re-offered the backlog would spend ~1 000 comparisons per bind.
+        let s = svc();
+        s.submit_pilot(PilotDescription::new(2, forever()));
+        for _ in 0..2000 {
+            s.submit_unit(
+                UnitDescription::new(1),
+                kernel_fn(|_| Ok(TaskOutput::none())),
+            );
+        }
+        s.wait_all_units();
+        let report = s.shutdown();
+        assert_eq!(report.bind.binds, 2000);
+        let pilots = 1;
+        assert!(
+            report.bind.candidate_comparisons <= 4 * report.bind.binds * pilots,
+            "{} comparisons for {} binds: the pass is walking the backlog",
+            report.bind.candidate_comparisons,
+            report.bind.binds
+        );
     }
 
     #[test]
