@@ -1,17 +1,19 @@
-//! Read-plane regression guard: re-measures the two load-bearing query-path
-//! costs — the projection dashboard read and the materializer fold-apply —
-//! and fails (exit 1) if either regressed more than 2× against the committed
-//! `BENCH_query.json` baseline.
+//! Read-plane regression guard: re-measures the three load-bearing query-path
+//! costs — the projection dashboard read, the materializer fold-apply, and
+//! one publication interval on a 10 000-row table — and fails (exit 1) if any
+//! regressed more than 2× against the committed `BENCH_query.json` baseline.
 //!
 //! The criterion shim prints plain text, so the guard does not parse bench
 //! output; it re-times the same workloads directly (best-of-N to damp CI
 //! noise) and compares against the baseline file parsed with the miniapp's
 //! own JSON reader. 2× is deliberately loose: it catches accidental
 //! algorithmic regressions (a lock on the read path, an O(n) fold step going
-//! O(n²)) without tripping on shared-runner jitter.
+//! O(n²), a publication that copies the table again: ~12× at 10 000 rows)
+//! without tripping on shared-runner jitter.
 //!
 //! Usage: `query_guard [path/to/BENCH_query.json]`
 
+use pilot_bench::experiments::qp::PublishCycle;
 use pilot_core::describe::{PilotDescription, UnitDescription};
 use pilot_core::events::ProjEvent;
 use pilot_core::ids::{PilotId, UnitId};
@@ -22,7 +24,7 @@ use pilot_core::WallClock;
 use pilot_miniapp::json;
 use pilot_query::{BrokerSink, Materializer, QueryTables};
 use pilot_sim::SimDuration;
-use pilot_streaming::Broker;
+use pilot_streaming::{Broker, BrokerError};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -48,6 +50,24 @@ fn time_us(rounds: usize, iters: usize, mut f: impl FnMut()) -> f64 {
         best = best.min(clock.elapsed().as_secs_f64());
     }
     best * 1e6 / iters as f64
+}
+
+/// Best-of-5 µs per publication interval (40 updates folded + `publish()`)
+/// on a `rows`-row table; staging the updates is outside the timing.
+fn publish_cycle_us(rows: u64) -> Result<f64, BrokerError> {
+    let mut cycle = PublishCycle::new(rows)?;
+    let mut best = f64::MAX;
+    for _ in 0..5 {
+        let mut busy_s = 0.0;
+        for _ in 0..50 {
+            cycle.stage();
+            let clock = WallClock::start();
+            black_box(cycle.fold_and_publish()?);
+            busy_s += clock.elapsed().as_secs_f64();
+        }
+        best = best.min(busy_s * 1e6 / 50.0);
+    }
+    Ok(best)
 }
 
 fn main() {
@@ -146,9 +166,19 @@ fn main() {
         black_box(t.digest());
     });
 
+    // --- publish: the committed query_publish/10000 workload --------------
+    let publish_us = match publish_cycle_us(10_000) {
+        Ok(us) => us,
+        Err(e) => {
+            eprintln!("query_guard: publish cycle failed: {e:?}");
+            std::process::exit(2);
+        }
+    };
+
     let checks = [
         ("query_dashboard/projection/2000", dash_us),
         ("query_fold/apply", fold_us),
+        ("query_publish/10000", publish_us),
     ];
     let mut failed = false;
     for (id, measured) in checks {

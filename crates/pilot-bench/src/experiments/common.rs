@@ -10,6 +10,19 @@ use pilot_infra::yarn::{YarnCluster, YarnConfig};
 use pilot_saga::ResourceAdaptor;
 use pilot_sim::{Dist, SimDuration};
 
+/// Held by the quick-mode tests that assert timing floors (ST-1, QP-1, QP-2).
+/// `cargo test` runs one binary's tests on parallel threads; a throughput
+/// model or a ratio fitted while another experiment's threads take the cores
+/// in bursts measures the neighbour, not the code.
+#[cfg(test)]
+pub(crate) fn timing_floor_guard() -> std::sync::MutexGuard<'static, ()> {
+    static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A floor that failed in one test says nothing about the next one.
+    ONE_AT_A_TIME
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// A threaded service with one active pilot of `cores`.
 pub fn thread_service(cores: u32, scheduler: Box<dyn Scheduler>) -> ThreadPilotService {
     let svc = ThreadPilotService::new(scheduler);

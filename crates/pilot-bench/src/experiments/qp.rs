@@ -31,7 +31,7 @@ use pilot_core::{PilotId, UnitId, WallClock};
 use pilot_miniapp::{ExperimentSpec, Factor, ResultTable};
 use pilot_query::{publish_events, BrokerSink, Materializer, ShardedMaterializer, StalenessWindow};
 use pilot_sim::SimDuration;
-use pilot_streaming::{Broker, Retention};
+use pilot_streaming::{Broker, BrokerError, Retention};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -331,12 +331,92 @@ fn timed_shard_fold(
     (wall, sm.service().merged())
 }
 
+/// One publication interval on a table of `rows` folded units, split so a
+/// timer can wrap just the read plane's share: [`stage`](Self::stage) appends
+/// 40 updates to distinct, scattered existing units (the producer's half);
+/// [`fold_and_publish`](Self::fold_and_publish) fetches, folds and publishes
+/// them. The `query` bench's `query_publish/*` group and `query_guard` time
+/// the same cycle through this one fixture.
+pub struct PublishCycle {
+    broker: Arc<Broker>,
+    m: Materializer,
+    rows: u64,
+    round: u64,
+}
+
+impl PublishCycle {
+    /// Updates per publication interval.
+    const UPDATES: u64 = 40;
+
+    /// A drained, published materializer holding `rows` units.
+    pub fn new(rows: u64) -> Result<Self, BrokerError> {
+        let broker = Arc::new(Broker::new());
+        broker.create_topic("publish.cycle", 4, usize::MAX / 2)?;
+        let seed: Vec<ProjEvent> = (0..rows)
+            .map(|u| ProjEvent::Unit {
+                unit: UnitId(u),
+                state: UnitState::Pending,
+                pilot: None,
+                t_s: 0.0,
+            })
+            .collect();
+        produce_chunked(&broker, "publish.cycle", &seed);
+        let mut m = Materializer::bootstrap(Arc::clone(&broker), "publish.cycle")?;
+        m.catch_up()?;
+        // Publication is the caller's call, not the fold's.
+        m.set_publish_every(u64::MAX);
+        Ok(PublishCycle {
+            broker,
+            m,
+            rows: rows.max(1),
+            round: 0,
+        })
+    }
+
+    /// Append the next interval's updates to the topic.
+    pub fn stage(&mut self) {
+        self.round += 1;
+        let updates: Vec<ProjEvent> = (0..Self::UPDATES)
+            .map(|i| ProjEvent::Unit {
+                unit: UnitId((self.round * Self::UPDATES + i).wrapping_mul(7919) % self.rows),
+                state: if self.round.is_multiple_of(2) {
+                    UnitState::Running
+                } else {
+                    UnitState::Done
+                },
+                pilot: Some(PilotId(i % 4)),
+                t_s: self.round as f64,
+            })
+            .collect();
+        produce_chunked(&self.broker, "publish.cycle", &updates);
+    }
+
+    /// Fold what [`stage`](Self::stage) appended and publish it. Returns the
+    /// published version (one per call).
+    pub fn fold_and_publish(&mut self) -> Result<u64, BrokerError> {
+        self.m.poll_apply(512)?;
+        self.m.publish();
+        Ok(self.m.tables().version)
+    }
+}
+
+/// Four-shard fold throughput (events/s, `publish_every` 16, 66 k-event topic)
+/// committed in EXPERIMENTS.md before snapshots shared structure, when each
+/// publication cloned its shard's whole table and one shard read 101 k. The
+/// floor one shard must clear now.
+const PRE_SHARING_FOUR_SHARD_EVENTS_S: f64 = 452_000.0;
+
 /// QP-2: read-plane scaling — fold throughput vs shard count, compacted vs
 /// full-history bootstrap, and delta-push latency vs poll staleness.
 ///
-/// Floors asserted per run: 4-shard fold throughput ≥ 2× single-shard (the
-/// win is mostly publication cost — each shard clones 1/Nth the rows at
-/// 1/Nth the cadence — so it holds even on one core); every merged digest
+/// Floors asserted per run. Fold throughput: a publication costs what the
+/// fold touched, not what the table holds, so one shard alone must clear the
+/// figure four shards were needed for while every publication cloned the
+/// table ([`PRE_SHARING_FOUR_SHARD_EVENTS_S`], full run only — the quick run
+/// is also a debug-build test); sharding must never cost (4 shards ≥ 0.8× one
+/// shard, whatever the host); and 4 shards ≥ 2× one shard (1.4× quick) where
+/// the host has the four cores that is a statement about — skipped, and said
+/// so, anywhere else. Every merged digest
 /// bit-identical to the unsharded fold; compacted bootstrap ≥ 5× faster at a
 /// 100× event-to-entity ratio with `applied + superseded` accounting for
 /// every appended event; delta-push p99 latency bounded under 1 s.
@@ -414,14 +494,30 @@ pub fn run_qp2(quick: bool) -> String {
         .map(|(_, t)| *t)
         .unwrap_or(0.0);
     let scaling = tp4 / tp1.max(1e-9);
-    let floor = if quick { 1.4 } else { 2.0 };
+    if !quick {
+        assert!(
+            tp1 >= PRE_SHARING_FOUR_SHARD_EVENTS_S,
+            "one shard must fold >= {PRE_SHARING_FOUR_SHARD_EVENTS_S} events/s at publish_every {publish_every}, got {tp1:.0}: is a publication walking the table again?"
+        );
+    }
     assert!(
-        scaling >= floor,
-        "4-shard fold must be >= {floor}x single-shard throughput, got {scaling:.2}x"
+        scaling >= 0.8,
+        "sharding must never cost: 4-shard fold at {scaling:.2}x single-shard throughput"
     );
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let floor = if quick { 1.4 } else { 2.0 };
+    let parallel_floor = if cores >= 4 {
+        assert!(
+            scaling >= floor,
+            "4-shard fold must be >= {floor}x single-shard throughput on {cores} cores, got {scaling:.2}x"
+        );
+        format!("floor {floor}× on {cores} cores")
+    } else {
+        format!("{floor}× parallel-scaling floor SKIPPED: available_parallelism {cores} < 4")
+    };
     out.push_str(&table.to_markdown());
     out.push_str(&format!(
-        "4-shard over 1-shard fold throughput: {scaling:.1}× (floor {floor}×); every merged digest == unsharded fold digest\n"
+        "4-shard over 1-shard fold throughput: {scaling:.1}× ({parallel_floor}; never-costs floor 0.8×); every merged digest == unsharded fold digest\n"
     ));
 
     // ---- Part B: bootstrap cost, compacted vs full history --------------
@@ -599,6 +695,7 @@ mod tests {
     fn qp1_quick_holds_speedup_staleness_and_restart_floors() {
         // The floors are asserted inside run_qp1; surviving the call in
         // quick mode is the regression check CI runs.
+        let _alone = super::common::timing_floor_guard();
         let report = super::run_qp1(true);
         assert!(report.contains("dash_proj_qps"));
         assert!(report.contains("stale_p99_ms"));
@@ -609,6 +706,7 @@ mod tests {
         // Shard-scaling, compacted-bootstrap, digest-identity, and push
         // latency floors are asserted inside run_qp2; surviving the call in
         // quick mode is the regression check CI runs.
+        let _alone = super::common::timing_floor_guard();
         let report = super::run_qp2(true);
         assert!(report.contains("events_per_s"));
         assert!(report.contains("compact_ms"));

@@ -185,6 +185,7 @@ mod tests {
     fn st1_quick_holds_batching_floor_and_model_fit() {
         // The floors are asserted inside run_st1; surviving the call in
         // quick mode is the regression check CI runs.
+        let _alone = super::common::timing_floor_guard();
         let report = super::run_st1(true);
         assert!(report.contains("produce_msg_s"));
         assert!(report.contains("held-out R²"));

@@ -15,8 +15,11 @@
 //! orders them within one shard's feed.
 //!
 //! The hub is deliberately passive: when nobody subscribes, the materializer
-//! skips dirty-tracking and batch construction entirely, so the delta path
-//! costs nothing until someone asks for it.
+//! builds no batch. It still notes which ids the fold touched within the
+//! current publication interval (one `Vec` push per event, cleared at every
+//! publish) — that is what lets a subscriber attach mid-interval and keep
+//! the contract above: rows folded since the last publication are in no
+//! snapshot it can read yet, so they must be in the next batch.
 
 use crate::tables::{ContinuityToken, Dashboard, PilotRow, UnitRow};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -79,8 +82,8 @@ impl DeltaHub {
         DeltaHub::default()
     }
 
-    /// Whether any subscriber is attached — the fold skips dirty-tracking
-    /// and batch construction entirely when this is false.
+    /// Whether any subscriber is attached — a publication builds no batch
+    /// when this is false.
     pub fn has_subscribers(&self) -> bool {
         self.active.load(Ordering::Acquire) > 0
     }

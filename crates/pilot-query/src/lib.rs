@@ -63,6 +63,7 @@
 
 pub mod delta;
 pub mod materializer;
+mod pmap;
 pub mod service;
 pub mod shard;
 pub mod sink;

@@ -33,7 +33,6 @@ use parking_lot::Mutex;
 use pilot_core::events::ProjEvent;
 use pilot_core::ids::{PilotId, UnitId};
 use pilot_streaming::{Broker, BrokerError, Retention};
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -140,7 +139,10 @@ pub struct Materializer {
     /// then *superseded* records, not lost ones.
     compacted: bool,
     /// Publish after this many applied events (and always when a drain runs
-    /// dry). Larger values batch allocation; 1 publishes every event.
+    /// dry). A publication costs what the fold touched since the last one
+    /// (see [`QueryTables`]), so larger values only coalesce writes to the
+    /// same rows and save the per-publication constant; 1 publishes every
+    /// event.
     publish_every: u64,
     /// Events applied since the last publication.
     pending: u64,
@@ -152,11 +154,13 @@ pub struct Materializer {
     events_superseded: u64,
     /// Payloads that failed to decode as `ProjEvent` (foreign traffic).
     decode_errors: u64,
-    /// Delta fan-out. Dirty-entity tracking and batch construction only run
-    /// while the hub has subscribers.
+    /// Delta fan-out. Batches are built only while the hub has subscribers.
     hub: Arc<DeltaHub>,
-    dirty_units: BTreeSet<u64>,
-    dirty_pilots: BTreeSet<u64>,
+    /// Ids the fold touched since the last publication, in fold order with
+    /// repeats — recorded whether or not anyone listens yet, so a subscriber
+    /// attaching mid-interval still gets the interval's rows.
+    dirty_units: Vec<u64>,
+    dirty_pilots: Vec<u64>,
     /// Newest event enqueue timestamp folded since the last publish.
     newest_enqueued_s: Option<f64>,
 }
@@ -251,8 +255,8 @@ impl Materializer {
             events_superseded: 0,
             decode_errors: 0,
             hub: Arc::new(DeltaHub::new()),
-            dirty_units: BTreeSet::new(),
-            dirty_pilots: BTreeSet::new(),
+            dirty_units: Vec::new(),
+            dirty_pilots: Vec::new(),
             newest_enqueued_s: None,
         })
     }
@@ -333,6 +337,10 @@ impl Materializer {
         if self.hub.has_subscribers()
             && !(self.dirty_units.is_empty() && self.dirty_pilots.is_empty())
         {
+            for ids in [&mut self.dirty_units, &mut self.dirty_pilots] {
+                ids.sort_unstable();
+                ids.dedup();
+            }
             let units: Vec<(u64, crate::tables::UnitRow)> = self
                 .dirty_units
                 .iter()
@@ -366,7 +374,6 @@ impl Materializer {
     pub fn poll_apply(&mut self, max_per_partition: usize) -> Result<usize, BrokerError> {
         let mut applied = 0usize;
         let now = self.broker.now_s();
-        let track_dirty = self.hub.has_subscribers();
         for i in 0..self.owned.len() {
             let p = self.owned[i];
             // Retention gap: if trimming outran us, jump to the first
@@ -386,9 +393,8 @@ impl Materializer {
             // `publish_every` is an event-count cadence contract, honored
             // even inside one large fetch: the fetched slice is folded in
             // sub-slices capped at the events remaining until the next
-            // publication. This is what makes the sharded fold scale — each
-            // shard publishes (clones) tables 1/Nth the size at the same
-            // event cadence, so total publication cost drops N-fold.
+            // publication, so readers and delta subscribers see the same
+            // cadence whether events trickle in or arrive as a backlog.
             let mut idx = 0usize;
             while idx < msgs.len() {
                 let room = self.publish_every.saturating_sub(self.pending).max(1) as usize;
@@ -411,16 +417,14 @@ impl Materializer {
                     match ProjEvent::decode(&m.payload) {
                         Ok(ev) => {
                             self.tables.apply(&ev);
-                            if track_dirty {
-                                match ev {
-                                    ProjEvent::Pilot { pilot, .. }
-                                    | ProjEvent::PilotCapacity { pilot, .. } => {
-                                        self.dirty_pilots.insert(pilot.0);
-                                    }
-                                    ProjEvent::Unit { unit, .. }
-                                    | ProjEvent::UnitMetric { unit, .. } => {
-                                        self.dirty_units.insert(unit.0);
-                                    }
+                            match ev {
+                                ProjEvent::Pilot { pilot, .. }
+                                | ProjEvent::PilotCapacity { pilot, .. } => {
+                                    self.dirty_pilots.push(pilot.0);
+                                }
+                                ProjEvent::Unit { unit, .. }
+                                | ProjEvent::UnitMetric { unit, .. } => {
+                                    self.dirty_units.push(unit.0);
                                 }
                             }
                             self.newest_enqueued_s = Some(match self.newest_enqueued_s {
@@ -644,6 +648,41 @@ mod tests {
             "no loss, no dup"
         );
         assert_eq!(b.tables().digest(), want, "bit-identical rebuild");
+    }
+
+    #[test]
+    fn subscriber_attaching_mid_interval_misses_no_row() {
+        // The delta contract: subscribe, then read a snapshot, then apply
+        // every batch. Rows folded after the last publication but before the
+        // subscriber attached are in no snapshot it can read yet — they must
+        // come in the next batch.
+        let (broker, sink) = setup(2);
+        let unit = |u: u64| ProjEvent::Unit {
+            unit: UnitId(u),
+            state: UnitState::Pending,
+            pilot: None,
+            t_s: u as f64,
+        };
+        let mut m = Materializer::bootstrap(Arc::clone(&broker), "proj").expect("bootstrap");
+        m.set_publish_every(1_000);
+        sink.emit_batch(&(0..10).map(unit).collect::<Vec<_>>());
+        assert_eq!(m.poll_apply(512).expect("poll"), 10);
+        let qs = m.service();
+        assert_eq!(qs.snapshot().unit_count(), 0, "folded, not yet published");
+
+        let sub = qs.subscribe();
+        let snapshot = qs.snapshot();
+        sink.emit_batch(&(10..15).map(unit).collect::<Vec<_>>());
+        m.catch_up().expect("drain");
+
+        let mut rows: std::collections::BTreeMap<u64, crate::tables::UnitRow> =
+            snapshot.units().map(|(id, r)| (id.0, *r)).collect();
+        for batch in sub.drain() {
+            rows.extend(batch.units.iter().copied());
+        }
+        let want: Vec<_> = m.tables().units().map(|(id, r)| (id.0, *r)).collect();
+        assert_eq!(want.len(), 15);
+        assert_eq!(rows.into_iter().collect::<Vec<_>>(), want);
     }
 
     #[test]

@@ -18,11 +18,13 @@
 //! digest equality under arbitrary interleavings, shard counts, publish
 //! cadences, and kill schedules.
 //!
-//! Why shard a fold that is already cheap? Publication. A materializer
-//! clones its whole table set every `publish_every` events; with U entities
-//! that is O(U) per publish. N shards each clone U/N rows at 1/N the
-//! per-shard event rate — total publication work drops by ~N², and the fold
-//! pipeline stops being serialized behind one clone even on a single core.
+//! Why shard a fold that is already cheap? Parallelism and blast radius:
+//! N workers fold disjoint partition groups on N cores, and one shard's crash
+//! rewinds only that shard to its own last publication. It is *not* needed to
+//! make publication affordable — a snapshot shares every chunk of rows its
+//! fold has not written since the last one (see [`crate::QueryTables`]), so a
+//! publication costs the rows touched whatever the table size, at one shard
+//! as at N.
 
 use crate::delta::DeltaSubscription;
 use crate::materializer::Materializer;
@@ -279,7 +281,7 @@ impl ShardedQueryService {
 
     /// The full merged table set (all shards' snapshots composed via
     /// [`QueryTables::merge`]). Heavier than [`dashboard`](Self::dashboard)
-    /// — it unions the entity maps — so reserve it for digest checks and
+    /// — it copies every row into one table — so reserve it for digest checks and
     /// full exports; routed point reads and the summed dashboard cover the
     /// common queries without it.
     pub fn merged(&self) -> QueryTables {

@@ -3,10 +3,13 @@
 //! The materializer (single writer) publishes each new projection version as
 //! an immutable `Arc<T>`; readers grab the current `Arc` with one atomic
 //! index load plus a momentary read-lock on the non-written slot. Readers
-//! never allocate, never block the writer's *next* publication (the writer
-//! always prepares the non-current slot), and never observe a torn value —
-//! the slot swap happens entirely under the slot's write lock before the
-//! index flips.
+//! never allocate and never observe a torn value — the slot swap happens
+//! entirely under the slot's write lock before the index flips. The writer
+//! always prepares the non-current slot, so a publication waits only for a
+//! reader still inside the one `Arc::clone` of a load that began before the
+//! *previous* flip. Nothing but that pointer swap sits between "folded" and
+//! "visible": the snapshot a publication displaces (the one from two
+//! publications ago) is released after the flip, outside the lock.
 //!
 //! Why two slots instead of a real `arc-swap`: the build environment is
 //! offline, and the double-slot construction needs nothing beyond
@@ -48,11 +51,14 @@ impl<T> SnapshotCell<T> {
     /// Publish a new snapshot. Single-writer: callers must serialize stores
     /// (the materializer owns the cell's write side). The non-current slot is
     /// written first, then the index flips — a concurrent `load` returns
-    /// either the old or the new snapshot, both fully formed.
+    /// either the old or the new snapshot, both fully formed. The displaced
+    /// snapshot is dropped last, once the new one is visible and no lock is
+    /// held: freeing it (if this was its last reference) delays no reader.
     pub fn store(&self, value: T) {
         let next = (self.current.load(Ordering::Relaxed) + 1) & 1;
-        *self.slots[next].write() = Arc::new(value);
+        let displaced = std::mem::replace(&mut *self.slots[next].write(), Arc::new(value));
         self.current.store(next, Ordering::Release);
+        drop(displaced);
     }
 }
 
@@ -87,6 +93,45 @@ mod tests {
         cell.store(vec![5]);
         assert_eq!(*old, vec![1, 2, 3], "reader's Arc is immutable");
         assert_eq!(*cell.load(), vec![5]);
+    }
+
+    #[test]
+    fn displaced_snapshot_is_freed_after_the_new_one_is_visible() {
+        /// A snapshot that, when freed, records what the cell serves.
+        struct Probe {
+            id: u64,
+            cell: std::sync::Weak<SnapshotCell<Probe>>,
+            seen_at_drop: Arc<parking_lot::Mutex<Vec<(u64, u64)>>>,
+        }
+        impl Drop for Probe {
+            fn drop(&mut self) {
+                if let Some(cell) = self.cell.upgrade() {
+                    // Dropped before the index flips, this reads the
+                    // previous snapshot's id; after the flip but still under
+                    // the slot's write lock, it deadlocks.
+                    let visible = cell.load().id;
+                    self.seen_at_drop.lock().push((self.id, visible));
+                }
+            }
+        }
+        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let cell = Arc::new_cyclic(|weak: &std::sync::Weak<SnapshotCell<Probe>>| {
+            SnapshotCell::new(Probe {
+                id: 0,
+                cell: weak.clone(),
+                seen_at_drop: Arc::clone(&seen),
+            })
+        });
+        for id in 1..=4 {
+            cell.store(Probe {
+                id,
+                cell: Arc::downgrade(&cell),
+                seen_at_drop: Arc::clone(&seen),
+            });
+        }
+        // Store n displaces snapshot n-2 (snapshot 0 fills both slots, so it
+        // goes on the second store) and n must already be what a load sees.
+        assert_eq!(*seen.lock(), vec![(0, 2), (1, 3), (2, 4)]);
     }
 
     #[test]

@@ -7,6 +7,12 @@
 //! publishes immutable clones through a [`crate::SnapshotCell`], so readers
 //! never contend with the fold.
 //!
+//! A clone is cheap whatever the table holds: the unit table is a
+//! structurally shared sorted map (`pmap`) whose clones share every chunk of
+//! rows neither side has written since, so publishing costs the rows the
+//! fold touched since the last publication, not the rows ever folded. The
+//! pilot table (tens of rows) is an ordinary `BTreeMap`.
+//!
 //! Every table write goes through `publish` (the unchecked mirror-store from
 //! `pilot-core::state`): projections *copy* states the authoritative machine
 //! already validated, possibly observing them out of order across entities.
@@ -20,6 +26,7 @@
 //!
 // lint: deterministic — pure fold over events; no clocks, no I/O.
 
+use crate::pmap::PMap;
 use pilot_core::events::{
     pilot_state_code, unit_state_code, ProjEvent, PILOT_STATE_COUNT, UNIT_STATE_COUNT,
 };
@@ -272,7 +279,7 @@ impl ContinuityToken {
 /// plus the continuity bookkeeping that makes restart exactly-once.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct QueryTables {
-    units: BTreeMap<u64, UnitRow>,
+    units: PMap<UnitRow>,
     pilots: BTreeMap<u64, PilotRow>,
     dashboard: Dashboard,
     /// Next offset to fetch, per partition (the fold position).
@@ -287,7 +294,7 @@ impl QueryTables {
     /// Empty tables positioned at offset 0 of `partitions` partitions.
     pub fn new(partitions: usize) -> Self {
         QueryTables {
-            units: BTreeMap::new(),
+            units: PMap::default(),
             pilots: BTreeMap::new(),
             dashboard: Dashboard::new(),
             offsets: vec![0; partitions],
@@ -380,7 +387,7 @@ impl QueryTables {
                 t_s,
             } => {
                 let units_by_state = &mut self.dashboard.units_by_state;
-                let row = self.units.entry(unit.0).or_insert_with(|| {
+                let row = self.units.get_or_insert_with(unit.0, || {
                     units_by_state[unit_state_code(UnitState::New) as usize] += 1;
                     UnitRow {
                         state: UnitState::New,
@@ -417,7 +424,7 @@ impl QueryTables {
                 // event per unit, so its fold lands on the same row and the
                 // same sums as the full history.
                 let units_by_state = &mut self.dashboard.units_by_state;
-                let row = self.units.entry(unit.0).or_insert_with(|| {
+                let row = self.units.get_or_insert_with(unit.0, || {
                     units_by_state[unit_state_code(UnitState::New) as usize] += 1;
                     UnitRow {
                         state: UnitState::New,
@@ -456,7 +463,7 @@ impl QueryTables {
 
     /// Latest state of a unit, if any event for it has been observed.
     pub fn unit(&self, id: UnitId) -> Option<&UnitRow> {
-        self.units.get(&id.0)
+        self.units.get(id.0)
     }
 
     /// Latest state + capacity of a pilot.
@@ -466,7 +473,7 @@ impl QueryTables {
 
     /// The unit table, ordered by id.
     pub fn units(&self) -> impl Iterator<Item = (UnitId, &UnitRow)> {
-        self.units.iter().map(|(&k, v)| (UnitId(k), v))
+        self.units.iter().map(|(k, v)| (UnitId(k), v))
     }
 
     /// The pilot table, ordered by id.
@@ -525,7 +532,7 @@ impl QueryTables {
                 h = h.wrapping_mul(PRIME);
             }
         };
-        for (id, r) in &self.units {
+        for (id, r) in self.units.iter() {
             mix(&id.to_le_bytes());
             mix(&[unit_state_code(r.state)]);
             match r.pilot {
@@ -572,6 +579,10 @@ impl QueryTables {
     /// Keyed routing sends every event of one entity to one partition, and a
     /// shard plan assigns each partition to exactly one shard — so the
     /// shards' unit/pilot maps are disjoint and the merge is a plain union.
+    /// Each shard's unit table is already sorted, so the union is one
+    /// ordered k-way pass that fills the merged table left to right. An id
+    /// present in two shards (a routing bug, not a valid input) resolves to
+    /// the later shard's row.
     /// Dashboard counters are order-independent aggregates (bucket counts,
     /// integer-ns sums, the exact capacity-pool invariant), so summing the
     /// per-shard values reproduces exactly what a single fold over all
@@ -582,10 +593,20 @@ impl QueryTables {
     /// counter across the whole shard set.
     pub fn merge(parts: &[&QueryTables], partition_owner: &[usize]) -> QueryTables {
         let mut out = QueryTables::new(partition_owner.len());
+        let mut heads: Vec<_> = parts.iter().map(|t| t.units.iter().peekable()).collect();
+        out.units = PMap::from_sorted(std::iter::from_fn(|| {
+            // The smallest head; of equal ids the earlier shard goes first,
+            // so the later shard's row is the one `from_sorted` keeps.
+            let (_, next) = heads
+                .iter_mut()
+                .filter_map(|h| {
+                    let id = h.peek()?.0;
+                    Some((id, h))
+                })
+                .min_by_key(|&(id, _)| id)?;
+            next.next().map(|(id, r)| (id, *r))
+        }));
         for t in parts {
-            for (id, r) in &t.units {
-                out.units.insert(*id, *r);
-            }
             for (id, r) in &t.pilots {
                 out.pilots.insert(*id, *r);
             }
@@ -815,6 +836,58 @@ mod tests {
         assert_eq!(merged.dashboard().free_cores, 6);
         assert_eq!(merged.unit_count(), 2);
         assert_eq!(merged.offsets, vec![3, 3]);
+    }
+
+    #[test]
+    fn merge_keeps_the_later_shards_row_for_a_duplicate_id() {
+        // Two shards both holding unit 5 is a routing bug; the merge must
+        // stay total and deterministic: last writer (later shard) wins.
+        let mut s0 = QueryTables::new(2);
+        let mut s1 = QueryTables::new(2);
+        for id in [1, 5, 9] {
+            s0.apply(&unit_ev(id, UnitState::Pending, None, 0.0));
+        }
+        for id in [2, 5, 7] {
+            s1.apply(&unit_ev(id, UnitState::Done, Some(3), 1.0));
+        }
+        let merged = QueryTables::merge(&[&s0, &s1], &[0, 1]);
+        let ids: Vec<u64> = merged.units().map(|(id, _)| id.0).collect();
+        assert_eq!(ids, vec![1, 2, 5, 7, 9]);
+        assert_eq!(merged.unit(UnitId(5)), s1.unit(UnitId(5)));
+        assert_eq!(merged.unit(UnitId(9)), s0.unit(UnitId(9)));
+    }
+
+    #[test]
+    fn a_publication_shares_what_the_fold_did_not_touch() {
+        // The cost of publishing, as a count: what a clone copies and what
+        // two successive clones have in common. Nothing here is timed.
+        let mut t = QueryTables::new(1);
+        for id in 0..20_000u64 {
+            t.apply(&unit_ev(id, UnitState::Pending, None, 0.0));
+        }
+        let first = t.clone();
+        let (shared, chunks) = first.units.shared_chunks(&t.units);
+        assert_eq!(shared, chunks, "cloning an untouched table copies no rows");
+        // One publication interval: 40 updates to distinct, scattered units.
+        for i in 0..40u64 {
+            let id = (i * 7919 + 13) % 20_000;
+            t.apply(&unit_ev(id, UnitState::Done, Some(1), 1.0));
+        }
+        let second = t.clone();
+        let (shared, chunks) = second.units.shared_chunks(&first.units);
+        assert!(
+            shared * 100 >= chunks * 85,
+            "two publications 40 row updates apart share {shared} of {chunks} chunks"
+        );
+        assert!(chunks - shared <= 40, "at most one chunk copied per row");
+        assert_eq!(
+            first.unit(UnitId(13)).map(|r| r.state),
+            Some(UnitState::Pending)
+        );
+        assert_eq!(
+            second.unit(UnitId(13)).map(|r| r.state),
+            Some(UnitState::Done)
+        );
     }
 
     #[test]
