@@ -2,11 +2,14 @@
 //!
 //! One agent per active pilot. Workers pull assignments from a shared
 //! channel (crossbeam MPMC), stamp start/finish times against the service's
-//! epoch, catch kernel panics, and report results back to the manager loop.
+//! epoch, catch kernel panics, and report into the manager's one inbox as
+//! `Msg::Started` / `Msg::Finished` / `Msg::Skipped` — the same channel that
+//! carries API calls, so the manager blocks on nothing else.
 
-use super::kernel::{TaskCtx, TaskError, TaskOutput, WorkKernel};
+use super::kernel::{TaskCtx, TaskError, WorkKernel};
+use super::service::Msg;
 use crate::ids::{PilotId, UnitId};
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -27,26 +30,6 @@ pub(super) struct Assignment {
     pub cancel_flag: Arc<AtomicBool>,
 }
 
-/// What a worker reports back to the manager loop.
-pub(super) enum AgentReport {
-    Started {
-        unit: UnitId,
-        gen: u64,
-        t: f64,
-    },
-    Finished {
-        unit: UnitId,
-        gen: u64,
-        t: f64,
-        result: Result<TaskOutput, TaskError>,
-    },
-    Skipped {
-        unit: UnitId,
-        gen: u64,
-        t: f64,
-    },
-}
-
 enum Cmd {
     Run(Assignment),
     Stop,
@@ -60,67 +43,16 @@ pub(super) struct Agent {
 }
 
 impl Agent {
-    /// Spawn `cores` workers reporting to `report_tx` with timestamps
-    /// relative to `epoch`.
-    pub fn new(pilot: PilotId, cores: u32, epoch: Instant, report_tx: Sender<AgentReport>) -> Self {
+    /// Spawn `cores` workers reporting into `inbox` with timestamps relative
+    /// to `epoch`.
+    pub fn new(pilot: PilotId, cores: u32, epoch: Instant, inbox: Sender<Msg>) -> Self {
         let (tx, rx) = unbounded::<Cmd>();
         let workers = (0..cores.max(1))
             .map(|i| {
-                let rx = rx.clone();
-                let report = report_tx.clone();
+                let (rx, inbox) = (rx.clone(), inbox.clone());
                 std::thread::Builder::new()
                     .name(format!("{pilot}-w{i}"))
-                    .spawn(move || {
-                        while let Ok(cmd) = rx.recv() {
-                            match cmd {
-                                Cmd::Stop => break,
-                                Cmd::Run(a) => {
-                                    let now = || epoch.elapsed().as_secs_f64();
-                                    if a.cancel_flag.load(Ordering::Acquire) {
-                                        let _ = report.send(AgentReport::Skipped {
-                                            unit: a.unit,
-                                            gen: a.gen,
-                                            t: now(),
-                                        });
-                                        continue;
-                                    }
-                                    let _ = report.send(AgentReport::Started {
-                                        unit: a.unit,
-                                        gen: a.gen,
-                                        t: now(),
-                                    });
-                                    let ctx = TaskCtx {
-                                        unit: a.unit,
-                                        pilot,
-                                        cores: a.cores,
-                                    };
-                                    let result =
-                                        match catch_unwind(AssertUnwindSafe(|| a.kernel.run(&ctx)))
-                                        {
-                                            Ok(r) => r,
-                                            Err(panic) => {
-                                                let msg = panic
-                                                    .downcast_ref::<&str>()
-                                                    .map(|s| s.to_string())
-                                                    .or_else(|| {
-                                                        panic.downcast_ref::<String>().cloned()
-                                                    })
-                                                    .unwrap_or_else(|| {
-                                                        "kernel panicked".to_string()
-                                                    });
-                                                Err(TaskError(format!("panic: {msg}")))
-                                            }
-                                        };
-                                    let _ = report.send(AgentReport::Finished {
-                                        unit: a.unit,
-                                        gen: a.gen,
-                                        t: now(),
-                                        result,
-                                    });
-                                }
-                            }
-                        }
-                    })
+                    .spawn(move || work(pilot, epoch, rx, inbox))
                     // lint: allow(panic, reason = "thread spawn fails only on OS resource exhaustion; a pilot without its workers cannot honor its core count")
                     .expect("spawn agent worker")
             })
@@ -161,13 +93,45 @@ impl Agent {
     }
 }
 
+/// One worker: run assignments until `Stop`, reporting each into the inbox.
+fn work(pilot: PilotId, epoch: Instant, rx: Receiver<Cmd>, inbox: Sender<Msg>) {
+    let now = || epoch.elapsed().as_secs_f64();
+    while let Ok(Cmd::Run(a)) = rx.recv() {
+        let (unit, gen, t) = (a.unit, a.gen, now());
+        if a.cancel_flag.load(Ordering::Acquire) {
+            let _ = inbox.send(Msg::Skipped { unit, gen, t });
+            continue;
+        }
+        let _ = inbox.send(Msg::Started { unit, gen, t });
+        let ctx = TaskCtx {
+            unit,
+            pilot,
+            cores: a.cores,
+        };
+        let result = catch_unwind(AssertUnwindSafe(|| a.kernel.run(&ctx))).unwrap_or_else(|p| {
+            let msg = p
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| p.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "kernel panicked".to_string());
+            Err(TaskError(format!("panic: {msg}")))
+        });
+        let _ = inbox.send(Msg::Finished {
+            unit,
+            gen,
+            t: now(),
+            result,
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::thread::kernel::kernel_fn;
+    use crate::thread::kernel::{kernel_fn, TaskOutput};
     use crossbeam::channel::unbounded;
 
-    fn mk_agent(cores: u32) -> (Agent, crossbeam::channel::Receiver<AgentReport>) {
+    fn mk_agent(cores: u32) -> (Agent, Receiver<Msg>) {
         let (tx, rx) = unbounded();
         let agent = Agent::new(PilotId(1), cores, Instant::now(), tx);
         (agent, rx)
@@ -190,14 +154,14 @@ mod tests {
         let started = rx.recv().unwrap();
         assert!(matches!(
             started,
-            AgentReport::Started {
+            Msg::Started {
                 unit: UnitId(1),
                 ..
             }
         ));
         let finished = rx.recv().unwrap();
         match finished {
-            AgentReport::Finished { unit, result, .. } => {
+            Msg::Finished { unit, result, .. } => {
                 assert_eq!(unit, UnitId(1));
                 assert_eq!(result.unwrap().downcast::<u32>().ok(), Some(42));
             }
@@ -216,7 +180,7 @@ mod tests {
         let mut second_ok = false;
         for _ in 0..4 {
             match rx.recv().unwrap() {
-                AgentReport::Finished { unit, result, .. } => {
+                Msg::Finished { unit, result, .. } => {
                     if unit == UnitId(1) {
                         let err = result.unwrap_err();
                         assert!(err.0.contains("kaboom"), "{err}");
@@ -226,8 +190,8 @@ mod tests {
                         second_ok = true;
                     }
                 }
-                AgentReport::Started { .. } => {}
-                AgentReport::Skipped { .. } => panic!("nothing canceled"),
+                Msg::Started { .. } => {}
+                _ => panic!("nothing canceled"),
             }
         }
         assert!(failed && second_ok);
@@ -247,7 +211,7 @@ mod tests {
             cancel_flag: flag,
         });
         match rx.recv().unwrap() {
-            AgentReport::Skipped { unit, .. } => assert_eq!(unit, UnitId(9)),
+            Msg::Skipped { unit, .. } => assert_eq!(unit, UnitId(9)),
             _ => panic!("expected Skipped"),
         }
         agent.stop();
@@ -263,7 +227,7 @@ mod tests {
         agent.stop();
         let finished = rx
             .iter()
-            .filter(|r| matches!(r, AgentReport::Finished { .. }))
+            .filter(|r| matches!(r, Msg::Finished { .. }))
             .count();
         assert_eq!(finished, 5, "FIFO channel drains Run before Stop");
         agent.join();
@@ -286,7 +250,7 @@ mod tests {
         }
         let mut finished = 0;
         while finished < 4 {
-            if let AgentReport::Finished { result, .. } = rx.recv().unwrap() {
+            if let Msg::Finished { result, .. } = rx.recv().unwrap() {
                 assert!(result.is_ok());
                 finished += 1;
             }

@@ -3,10 +3,12 @@
 //!
 //! The manager runs as its own event-loop thread (mirroring the component
 //! structure of the simulated backend): submissions, capacity changes and
-//! completions arrive as messages; every capacity change re-runs the
-//! late-binding scheduler over pending units. Wall-clock timestamps land in
-//! the same [`crate::metrics::UnitTimes`] records as virtual-time ones, so
-//! downstream analysis is backend-agnostic.
+//! completions arrive as messages on one inbox, and its timers (startup
+//! delay, walltime, crash clock, deadlines, backoff) sit in one due-ordered
+//! queue the loop fires itself, as the DES driver does; every batch of
+//! capacity changes re-runs the late-binding scheduler over pending units.
+//! Wall-clock timestamps land in the same [`crate::metrics::UnitTimes`]
+//! records as virtual-time ones, so downstream analysis is backend-agnostic.
 //!
 //! Failure semantics: a panicking kernel marks its unit `Failed` (the worker
 //! survives via `catch_unwind`); pilot cancel and walltime expiry *drain* —

@@ -1,7 +1,7 @@
 //! The threaded Pilot-API service: pilot manager + unit manager + late-binding
 //! scheduler as one event-loop thread, with blocking handles for applications.
 
-use super::agent::{Agent, AgentReport, Assignment};
+use super::agent::{Agent, Assignment};
 use super::kernel::{TaskError, TaskOutput, WorkKernel};
 use crate::binding::{self, BindStats, PendingQueue};
 use crate::describe::{PilotDescription, UnitDescription};
@@ -15,7 +15,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 use pilot_infra::types::SiteId;
 use pilot_sim::{SimDuration, SimRng};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -70,7 +70,9 @@ pub struct StatusSnapshot {
     pub open_units: usize,
 }
 
-enum Msg {
+/// The manager's one inbox: API calls, agent reports and — through the
+/// timer queue — its own timers all arrive as a `Msg`.
+pub(super) enum Msg {
     SubmitPilot {
         id: PilotId,
         desc: PilotDescription,
@@ -92,6 +94,57 @@ enum Msg {
     /// Injected pilot crash from the fault plan.
     PilotCrash(PilotId),
     Shutdown,
+    /// Agent report: attempt `gen` of `unit` started at `t`.
+    Started {
+        unit: UnitId,
+        gen: u64,
+        t: f64,
+    },
+    /// Agent report: attempt `gen` of `unit` returned at `t`.
+    Finished {
+        unit: UnitId,
+        gen: u64,
+        t: f64,
+        result: Result<TaskOutput, TaskError>,
+    },
+    /// Agent report: `unit` was canceled after binding and never ran.
+    Skipped {
+        unit: UnitId,
+        gen: u64,
+        t: f64,
+    },
+}
+
+/// The manager's timers: one due-ordered queue that the event loop fires
+/// itself — the DES driver's `out.after`, on the wall clock. The sequence
+/// number keeps timers with equal due times in arming order.
+#[derive(Default)]
+struct Timers {
+    queue: BTreeMap<(Instant, u64), Msg>,
+    seq: u64,
+}
+
+impl Timers {
+    /// Arm `msg` to fire `delay_s` seconds from now; returns when. A delay
+    /// no `Instant` can represent never fires.
+    fn after(&mut self, delay_s: f64, msg: Msg) -> Option<Instant> {
+        let delay = Duration::try_from_secs_f64(delay_s.max(0.0)).ok()?;
+        let due = Instant::now().checked_add(delay)?;
+        self.seq += 1;
+        self.queue.insert((due, self.seq), msg);
+        Some(due)
+    }
+
+    /// When the earliest armed timer is due.
+    fn next_due(&self) -> Option<Instant> {
+        self.queue.keys().next().map(|&(due, _)| due)
+    }
+
+    /// Take the earliest timer if it is due by now.
+    fn pop_due(&mut self) -> Option<Msg> {
+        let first = self.queue.first_entry()?;
+        (first.key().0 <= Instant::now()).then(|| first.remove())
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -147,7 +200,6 @@ struct PilotRt {
     bound: usize,
     deadline: Option<Instant>,
     walltime: SimDuration,
-    startup_delay_s: f64,
 }
 
 struct UnitRt {
@@ -157,8 +209,8 @@ struct UnitRt {
     pilot: Option<PilotId>,
     cancel_flag: Arc<AtomicBool>,
     /// Bumped whenever the manager abandons the current attempt (retry,
-    /// deadline, pilot crash); agent reports with stale generations are
-    /// dropped.
+    /// deadline, pilot crash); agent reports and timers with stale
+    /// generations are dropped.
     generation: u64,
     /// Failed execution attempts so far (charged against `desc.retry`).
     attempts: u32,
@@ -224,14 +276,13 @@ impl ThreadPilotService {
         sink: Option<Arc<dyn EventSink>>,
     ) -> Self {
         let (tx, rx) = unbounded::<Msg>();
-        let (report_tx, report_rx) = unbounded::<AgentReport>();
         let registry = Arc::new(Registry {
             inner: Mutex::new(RegInner::default()),
             cv: Condvar::new(),
         });
         let epoch = Instant::now();
         let mgr_registry = Arc::clone(&registry);
-        let self_tx = tx.clone();
+        let inbox = tx.clone();
         let manager = std::thread::Builder::new()
             .name("pilot-manager".into())
             .spawn(move || {
@@ -242,8 +293,8 @@ impl ThreadPilotService {
                     pending: PendingQueue::default(),
                     registry: mgr_registry,
                     epoch,
-                    self_tx,
-                    report_tx,
+                    inbox,
+                    timers: Timers::default(),
                     shutting_down: false,
                     sched_dirty: false,
                     faults,
@@ -254,7 +305,7 @@ impl ThreadPilotService {
                     sink,
                     ev: Vec::new(),
                 }
-                .run(rx, report_rx)
+                .run(rx)
             })
             // lint: allow(panic, reason = "thread spawn fails only on OS resource exhaustion at service construction; no caller can proceed without a manager")
             .expect("spawn pilot manager");
@@ -473,6 +524,8 @@ impl Drop for ThreadPilotService {
     }
 }
 
+/// The Pilot-Manager: one event loop over one inbox and one timer queue,
+/// with no helper threads (see [`run`](Self::run)).
 struct Mgr {
     scheduler: Box<dyn Scheduler>,
     pilots: HashMap<PilotId, PilotRt>,
@@ -480,8 +533,9 @@ struct Mgr {
     pending: PendingQueue,
     registry: Arc<Registry>,
     epoch: Instant,
-    self_tx: Sender<Msg>,
-    report_tx: Sender<AgentReport>,
+    /// A sender into the manager's own inbox, cloned into every agent.
+    inbox: Sender<Msg>,
+    timers: Timers,
     shutting_down: bool,
     /// Set by any capacity or queue change; the run loop executes one
     /// batched binding pass per message batch instead of one per event.
@@ -524,8 +578,59 @@ impl Mgr {
         }
     }
 
-    /// Hand the buffered batch to the sink. Called once per drained message
-    /// batch and once at loop exit — the write path pays one batched append
+    /// The one write of a pilot transition: the registry row (its state and
+    /// the timestamp of entering it) and the matching read-plane event.
+    fn publish_pilot(&mut self, pid: PilotId, state: PilotState, t: f64) {
+        self.registry.update(|r| {
+            if let Some(pp) = r.pilots.get_mut(&pid) {
+                PilotState::publish(&mut pp.state, state);
+                match state {
+                    PilotState::Pending => pp.times.submitted = t,
+                    PilotState::Active => pp.times.active = Some(t),
+                    s if s.is_terminal() => pp.times.finished = Some(t),
+                    _ => {}
+                }
+            }
+        });
+        self.emit(ProjEvent::Pilot {
+            pilot: pid,
+            state,
+            t_s: t,
+        });
+    }
+
+    /// The one write of a unit transition: the registry row (its state, then
+    /// `edit` for the fields the transition sets) and the matching read-plane
+    /// event carrying `pilot`. The open-unit count drops exactly when the
+    /// row first gets a finish time.
+    fn publish_unit(
+        &mut self,
+        uid: UnitId,
+        state: UnitState,
+        pilot: Option<PilotId>,
+        t: f64,
+        edit: impl FnOnce(&mut UnitPublic),
+    ) {
+        self.registry.update(|r| {
+            if let Some(up) = r.units.get_mut(&uid) {
+                let open = up.times.finished.is_none();
+                UnitState::publish(&mut up.state, state);
+                edit(up);
+                if open && up.times.finished.is_some() {
+                    r.open_units -= 1;
+                }
+            }
+        });
+        self.emit(ProjEvent::Unit {
+            unit: uid,
+            state,
+            pilot,
+            t_s: t,
+        });
+    }
+
+    /// Hand the buffered batch to the sink. Called once per loop iteration
+    /// and once at loop exit — the write path pays one batched append
     /// regardless of how many transitions the batch produced.
     fn flush_events(&mut self) {
         if self.ev.is_empty() {
@@ -537,16 +642,23 @@ impl Mgr {
         self.ev.clear();
     }
 
-    fn run(mut self, rx: Receiver<Msg>, report_rx: Receiver<AgentReport>) {
+    /// The event loop. It blocks in one place: on the inbox, until a message
+    /// arrives or — when a timer is armed — until the earliest one is due.
+    /// Each iteration then drains the inbox, fires every timer due by now
+    /// (including ones armed while firing, so a zero-delay backoff lands
+    /// before the pass), runs one binding pass and one sink flush. A busy
+    /// inbox can delay a timer by one iteration, never more.
+    fn run(mut self, rx: Receiver<Msg>) {
         loop {
-            crossbeam::channel::select! {
-                recv(rx) -> msg => match msg {
-                    Ok(m) => self.on_msg(m),
-                    Err(_) => self.shutting_down = true,
-                },
-                recv(report_rx) -> rep => if let Ok(r) = rep {
-                    self.on_report(r);
-                },
+            // `self.inbox` is a live sender, so the inbox never disconnects.
+            let first = match self.timers.next_due() {
+                Some(due) => rx
+                    .recv_timeout(due.saturating_duration_since(Instant::now()))
+                    .ok(),
+                None => rx.recv().ok(),
+            };
+            if let Some(m) = first {
+                self.on_msg(m);
             }
             // Drain everything already queued so one binding pass covers the
             // whole batch of capacity changes (dirty-flag wakeup) instead of
@@ -554,8 +666,8 @@ impl Mgr {
             while let Ok(m) = rx.try_recv() {
                 self.on_msg(m);
             }
-            while let Ok(r) = report_rx.try_recv() {
-                self.on_report(r);
+            while let Some(m) = self.timers.pop_due() {
+                self.on_msg(m);
             }
             if self.sched_dirty {
                 self.sched_dirty = false;
@@ -569,7 +681,7 @@ impl Mgr {
         // Tear down agents. Detach instead of join: a kernel that ignored
         // its deadline may still occupy a worker, and joining it would wedge
         // shutdown — the drain gate (`all_quiet`) already guaranteed no
-        // accounted work remains.
+        // accounted work remains. Armed timers are dropped with `self`.
         for (_, p) in self.pilots.iter_mut() {
             if let Some(agent) = p.agent.take() {
                 agent.stop();
@@ -602,51 +714,42 @@ impl Mgr {
             Msg::RetryRelease(id, gen) => self.release_retry(id, gen),
             Msg::PilotCrash(id) => self.crash_pilot(id),
             Msg::Shutdown => self.begin_shutdown(),
+            Msg::Started { unit, gen, t } => self.unit_started(unit, gen, t),
+            Msg::Finished {
+                unit,
+                gen,
+                t,
+                result,
+            } => self.unit_finished(unit, gen, t, result),
+            Msg::Skipped { unit, gen, t } => {
+                if self.units.get(&unit).is_some_and(|u| u.generation == gen) {
+                    self.finish_unit(unit, t, UnitState::Canceled, None);
+                }
+            }
         }
     }
 
     fn submit_pilot(&mut self, id: PilotId, desc: PilotDescription, site: SiteId) {
         let now = self.now();
-        let rt = PilotRt {
-            site,
-            cores: desc.cores.max(1),
-            free_cores: desc.cores.max(1),
-            state: PilotState::Pending,
-            accepting: true,
-            drain_to: PilotState::Done,
-            agent: None,
-            bound: 0,
-            deadline: None,
-            walltime: desc.walltime,
-            startup_delay_s: desc.startup_delay_s,
-        };
-        self.registry.update(|r| {
-            r.pilots.insert(
-                id,
-                PilotPublic {
-                    state: PilotState::Pending,
-                    times: PilotTimes {
-                        submitted: now,
-                        ..Default::default()
-                    },
-                    site,
-                    label: desc.label.clone(),
-                },
-            );
-        });
-        let delay = rt.startup_delay_s;
-        self.pilots.insert(id, rt);
-        self.emit(ProjEvent::Pilot {
-            pilot: id,
-            state: PilotState::Pending,
-            t_s: now,
-        });
-        if delay > 0.0 {
-            let tx = self.self_tx.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_secs_f64(delay));
-                let _ = tx.send(Msg::PilotUp(id));
-            });
+        let cores = desc.cores.max(1);
+        self.pilots.insert(
+            id,
+            PilotRt {
+                site,
+                cores,
+                free_cores: cores,
+                state: PilotState::Pending,
+                accepting: true,
+                drain_to: PilotState::Done,
+                agent: None,
+                bound: 0,
+                deadline: None,
+                walltime: desc.walltime,
+            },
+        );
+        self.publish_pilot(id, PilotState::Pending, now);
+        if desc.startup_delay_s > 0.0 {
+            self.timers.after(desc.startup_delay_s, Msg::PilotUp(id));
         } else {
             self.pilot_up(id);
         }
@@ -661,16 +764,12 @@ impl Mgr {
             return; // canceled before startup
         }
         PilotState::advance(&mut p.state, PilotState::Active);
-        p.agent = Some(Agent::new(id, p.cores, self.epoch, self.report_tx.clone()));
+        p.agent = Some(Agent::new(id, p.cores, self.epoch, self.inbox.clone()));
         // Arm the walltime only for finite requests.
         if p.walltime != SimDuration::MAX {
-            let wt = p.walltime.as_secs_f64();
-            p.deadline = Some(Instant::now() + Duration::from_secs_f64(wt));
-            let tx = self.self_tx.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_secs_f64(wt));
-                let _ = tx.send(Msg::PilotExpired(id));
-            });
+            p.deadline = self
+                .timers
+                .after(p.walltime.as_secs_f64(), Msg::PilotExpired(id));
         }
         // Arm the injected crash clock: one exponential draw from a stream
         // keyed by pilot id, so the same seed schedules the same crashes
@@ -680,23 +779,9 @@ impl Mgr {
                 .rng
                 .stream(streams::keyed(streams::PILOT_CRASH, id.0, 0))
                 .exponential(mtbf);
-            let tx = self.self_tx.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_secs_f64(ttf));
-                let _ = tx.send(Msg::PilotCrash(id));
-            });
+            self.timers.after(ttf, Msg::PilotCrash(id));
         }
-        self.registry.update(|r| {
-            if let Some(pp) = r.pilots.get_mut(&id) {
-                PilotState::publish(&mut pp.state, PilotState::Active);
-                pp.times.active = Some(now);
-            }
-        });
-        self.emit(ProjEvent::Pilot {
-            pilot: id,
-            state: PilotState::Active,
-            t_s: now,
-        });
+        self.publish_pilot(id, PilotState::Active, now);
         self.emit_capacity(id, now);
         self.schedule();
     }
@@ -704,34 +789,17 @@ impl Mgr {
     fn submit_unit(&mut self, id: UnitId, desc: UnitDescription, kernel: Arc<dyn WorkKernel>) {
         let now = self.now();
         if self.shutting_down {
-            // Refuse late submissions but keep the open-unit count balanced.
-            let tag = desc.tag.clone();
-            self.registry.update(|r| {
-                r.units.insert(
-                    id,
-                    UnitPublic {
-                        state: UnitState::Canceled,
-                        times: UnitTimes {
-                            submitted: now,
-                            finished: Some(now),
-                            ..Default::default()
-                        },
-                        pilot: None,
-                        tag,
-                        output: None,
-                    },
-                );
-                r.open_units -= 1;
-            });
-            self.emit(ProjEvent::Unit {
-                unit: id,
-                state: UnitState::Canceled,
-                pilot: None,
-                t_s: now,
+            // Refuse late submissions; the finish time closes the unit's
+            // open-unit slot.
+            self.publish_unit(id, UnitState::Canceled, None, now, |up| {
+                up.times = UnitTimes {
+                    submitted: now,
+                    finished: Some(now),
+                    ..Default::default()
+                };
             });
             return;
         }
-        let tag = desc.tag.clone();
         let (priority, cores) = (desc.priority, desc.cores);
         self.units.insert(
             id,
@@ -751,32 +819,17 @@ impl Mgr {
             },
         );
         self.pending.push(id, priority, cores);
-        self.registry.update(|r| {
-            r.units.insert(
-                id,
-                UnitPublic {
-                    state: UnitState::Pending,
-                    times: UnitTimes {
-                        submitted: now,
-                        ..Default::default()
-                    },
-                    pilot: None,
-                    tag,
-                    output: None,
-                },
-            );
-        });
-        self.emit(ProjEvent::Unit {
-            unit: id,
-            state: UnitState::Pending,
-            pilot: None,
-            t_s: now,
+        self.publish_unit(id, UnitState::Pending, None, now, |up| {
+            up.times = UnitTimes {
+                submitted: now,
+                ..Default::default()
+            };
         });
         self.schedule();
     }
 
     /// Request a late-binding pass. Passes run batched from the event loop
-    /// (one per drained message batch), not inline per capacity change.
+    /// (one per loop iteration), not inline per capacity change.
     fn schedule(&mut self) {
         self.sched_dirty = true;
     }
@@ -894,89 +947,53 @@ impl Mgr {
             return;
         };
         agent.submit(assignment);
-        self.registry.update(|r| {
-            if let Some(u) = r.units.get_mut(&uid) {
-                UnitState::publish(&mut u.state, UnitState::Assigned);
-                u.pilot = Some(pid);
-                u.times.bound = Some(now);
-            }
-        });
-        self.emit(ProjEvent::Unit {
-            unit: uid,
-            state: UnitState::Assigned,
-            pilot: Some(pid),
-            t_s: now,
+        self.publish_unit(uid, UnitState::Assigned, Some(pid), now, |up| {
+            up.pilot = Some(pid);
+            up.times.bound = Some(now);
         });
         self.emit_capacity(pid, now);
     }
 
-    fn on_report(&mut self, rep: AgentReport) {
-        match rep {
-            AgentReport::Started { unit, gen, t } => {
-                let Some(u) = self.units.get_mut(&unit) else {
-                    return;
-                };
-                if u.generation != gen {
-                    return; // attempt already abandoned
-                }
-                UnitState::advance(&mut u.state, UnitState::Running);
-                u.started_at = Some(t);
-                let pilot = u.pilot;
-                self.rel.attempts += 1;
-                // Arm the per-attempt execution deadline.
-                if let Some(deadline_s) = u.desc.deadline_s {
-                    let tx = self.self_tx.clone();
-                    std::thread::spawn(move || {
-                        std::thread::sleep(Duration::from_secs_f64(deadline_s));
-                        let _ = tx.send(Msg::UnitDeadline(unit, gen));
-                    });
-                }
-                self.registry.update(|r| {
-                    if let Some(u) = r.units.get_mut(&unit) {
-                        UnitState::publish(&mut u.state, UnitState::Running);
-                        u.times.started = Some(t);
-                    }
-                });
-                self.emit(ProjEvent::Unit {
-                    unit,
-                    state: UnitState::Running,
-                    pilot,
-                    t_s: t,
-                });
+    /// Agent report: the attempt started; arms its execution deadline.
+    fn unit_started(&mut self, uid: UnitId, gen: u64, t: f64) {
+        let Some(u) = self.units.get_mut(&uid).filter(|u| u.generation == gen) else {
+            return; // attempt already abandoned
+        };
+        UnitState::advance(&mut u.state, UnitState::Running);
+        u.started_at = Some(t);
+        let pilot = u.pilot;
+        if let Some(deadline_s) = u.desc.deadline_s {
+            self.timers.after(deadline_s, Msg::UnitDeadline(uid, gen));
+        }
+        self.rel.attempts += 1;
+        self.publish_unit(uid, UnitState::Running, pilot, t, |up| {
+            up.times.started = Some(t);
+        });
+    }
+
+    /// Agent report: the attempt returned. An injected fault replaces the
+    /// result of a doomed attempt.
+    fn unit_finished(
+        &mut self,
+        uid: UnitId,
+        gen: u64,
+        t: f64,
+        mut result: Result<TaskOutput, TaskError>,
+    ) {
+        let Some(u) = self.units.get_mut(&uid).filter(|u| u.generation == gen) else {
+            return; // attempt already abandoned
+        };
+        if u.doomed && result.is_ok() {
+            self.rel.injected_unit_faults += 1;
+            result = Err(TaskError("injected fault".into()));
+        }
+        if result.is_ok() {
+            if let Some(pid) = u.pilot {
+                self.tracker.record_success(pid);
             }
-            AgentReport::Finished {
-                unit,
-                gen,
-                t,
-                result,
-            } => {
-                let Some(u) = self.units.get_mut(&unit) else {
-                    return;
-                };
-                if u.generation != gen {
-                    return; // attempt already abandoned
-                }
-                let mut result = result;
-                if u.doomed && result.is_ok() {
-                    self.rel.injected_unit_faults += 1;
-                    result = Err(TaskError("injected fault".into()));
-                }
-                if result.is_ok() {
-                    if let Some(pid) = u.pilot {
-                        self.tracker.record_success(pid);
-                    }
-                    self.finish_unit(unit, t, UnitState::Done, Some(result));
-                } else {
-                    self.fail_attempt(unit, t, Some(result));
-                }
-            }
-            AgentReport::Skipped { unit, gen, t } => {
-                let stale = self.units.get(&unit).is_none_or(|u| u.generation != gen);
-                if stale {
-                    return;
-                }
-                self.finish_unit(unit, t, UnitState::Canceled, None);
-            }
+            self.finish_unit(uid, t, UnitState::Done, Some(result));
+        } else {
+            self.fail_attempt(uid, t, Some(result));
         }
     }
 
@@ -996,10 +1013,21 @@ impl Mgr {
             self.rel.wasted_work_s += t - s;
         }
         let pilot = u.pilot.take();
-        let cores = u.desc.cores;
-        let retry = u.desc.retry;
-        let attempts = u.attempts;
-        let gen = u.generation;
+        let (cores, retry, attempts) = (u.desc.cores, u.desc.retry, u.attempts);
+        let retrying = !self.shutting_down && retry.allows_retry(attempts);
+        if retrying {
+            u.failed_at = Some(t);
+            u.retry_pending = true;
+            self.rel.requeues += 1;
+            let mut jitter =
+                self.rng
+                    .stream(streams::keyed(streams::BACKOFF_JITTER, uid.0, attempts));
+            let delay = retry.delay_s(attempts, &mut jitter);
+            self.timers
+                .after(delay, Msg::RetryRelease(uid, u.generation));
+        } else {
+            self.rel.exhausted_units += 1;
+        }
         if let Some(pid) = pilot {
             if let Some(p) = self.pilots.get_mut(&pid) {
                 if p.state == PilotState::Active {
@@ -1012,53 +1040,18 @@ impl Mgr {
             }
             self.emit_capacity(pid, t);
         }
-        self.emit(ProjEvent::Unit {
-            unit: uid,
-            state: UnitState::Failed,
-            pilot: None,
-            t_s: t,
-        });
-        if !self.shutting_down && retry.allows_retry(attempts) {
-            self.rel.requeues += 1;
-            if let Some(u) = self.units.get_mut(&uid) {
-                u.failed_at = Some(t);
-                u.retry_pending = true;
-            }
-            let mut jitter =
-                self.rng
-                    .stream(streams::keyed(streams::BACKOFF_JITTER, uid.0, attempts));
-            let delay = retry.delay_s(attempts, &mut jitter);
-            // Publicly the unit shows `Failed` during backoff, but without a
-            // finish time — `wait_unit` keeps blocking until a terminal
-            // attempt actually finishes.
-            self.registry.update(|r| {
-                if let Some(up) = r.units.get_mut(&uid) {
-                    UnitState::publish(&mut up.state, UnitState::Failed);
-                    up.pilot = None;
-                    up.times.bound = None;
-                    up.times.started = None;
-                }
-            });
-            let tx = self.self_tx.clone();
-            if delay > 0.0 {
-                std::thread::spawn(move || {
-                    std::thread::sleep(Duration::from_secs_f64(delay));
-                    let _ = tx.send(Msg::RetryRelease(uid, gen));
-                });
+        // During backoff the unit shows `Failed` without a finish time, so
+        // `wait_unit` keeps blocking until a terminal attempt finishes.
+        self.publish_unit(uid, UnitState::Failed, None, t, |up| {
+            if retrying {
+                up.pilot = None;
+                up.times.bound = None;
+                up.times.started = None;
             } else {
-                let _ = tx.send(Msg::RetryRelease(uid, gen));
+                up.times.finished = Some(t);
+                up.output = output;
             }
-        } else {
-            self.rel.exhausted_units += 1;
-            self.registry.update(|r| {
-                if let Some(up) = r.units.get_mut(&uid) {
-                    UnitState::publish(&mut up.state, UnitState::Failed);
-                    up.times.finished = Some(t);
-                    up.output = output;
-                }
-                r.open_units -= 1;
-            });
-        }
+        });
         if let Some(pid) = pilot {
             self.maybe_finalize_pilot(pid);
         }
@@ -1090,18 +1083,22 @@ impl Mgr {
             return;
         }
         u.retry_pending = false;
+        let now = self.now();
+        self.requeue(uid, now);
+    }
+
+    /// Put a unit that holds no running attempt back into the late-binding
+    /// queue.
+    fn requeue(&mut self, uid: UnitId, t: f64) {
+        let Some(u) = self.units.get_mut(&uid) else {
+            return;
+        };
         UnitState::advance(&mut u.state, UnitState::Pending);
+        u.pilot = None;
         self.pending.push(uid, u.desc.priority, u.desc.cores);
-        self.registry.update(|r| {
-            if let Some(up) = r.units.get_mut(&uid) {
-                UnitState::publish(&mut up.state, UnitState::Pending);
-            }
-        });
-        self.emit(ProjEvent::Unit {
-            unit: uid,
-            state: UnitState::Pending,
-            pilot: None,
-            t_s: self.now(),
+        self.publish_unit(uid, UnitState::Pending, None, t, |up| {
+            up.pilot = None;
+            up.times.bound = None;
         });
         self.schedule();
     }
@@ -1126,17 +1123,7 @@ impl Mgr {
         }
         self.rel.pilot_crashes += 1;
         let now = self.now();
-        self.registry.update(|r| {
-            if let Some(pp) = r.pilots.get_mut(&pid) {
-                PilotState::publish(&mut pp.state, PilotState::Failed);
-                pp.times.finished = Some(now);
-            }
-        });
-        self.emit(ProjEvent::Pilot {
-            pilot: pid,
-            state: PilotState::Failed,
-            t_s: now,
-        });
+        self.publish_pilot(pid, PilotState::Failed, now);
         self.emit_capacity(pid, now);
         let mut bound: Vec<(UnitId, UnitState)> = self
             .units
@@ -1150,29 +1137,11 @@ impl Mgr {
         for (uid, state) in bound {
             if state == UnitState::Running {
                 self.fail_attempt(uid, now, Some(Err(TaskError("pilot crash".into()))));
-            } else {
+            } else if let Some(u) = self.units.get_mut(&uid) {
                 // Planned re-bind: no work lost, not charged against retries.
-                let Some(u) = self.units.get_mut(&uid) else {
-                    continue;
-                };
-                UnitState::advance(&mut u.state, UnitState::Pending);
-                u.pilot = None;
                 u.generation += 1;
-                self.pending.push(uid, u.desc.priority, u.desc.cores);
                 self.rel.rebinds += 1;
-                self.registry.update(|r| {
-                    if let Some(up) = r.units.get_mut(&uid) {
-                        UnitState::publish(&mut up.state, UnitState::Pending);
-                        up.pilot = None;
-                        up.times.bound = None;
-                    }
-                });
-                self.emit(ProjEvent::Unit {
-                    unit: uid,
-                    state: UnitState::Pending,
-                    pilot: None,
-                    t_s: now,
-                });
+                self.requeue(uid, now);
             }
         }
         self.schedule();
@@ -1199,19 +1168,9 @@ impl Mgr {
                 p.bound -= 1;
             }
         }
-        self.registry.update(|r| {
-            if let Some(up) = r.units.get_mut(&uid) {
-                UnitState::publish(&mut up.state, state);
-                up.times.finished = Some(t);
-                up.output = output;
-            }
-            r.open_units -= 1;
-        });
-        self.emit(ProjEvent::Unit {
-            unit: uid,
-            state,
-            pilot,
-            t_s: t,
+        self.publish_unit(uid, state, pilot, t, |up| {
+            up.times.finished = Some(t);
+            up.output = output;
         });
         if let Some(pid) = pilot {
             self.emit_capacity(pid, t);
@@ -1248,17 +1207,7 @@ impl Mgr {
                 };
                 PilotState::advance(&mut p.state, end);
                 let now = self.now();
-                self.registry.update(|r| {
-                    if let Some(pp) = r.pilots.get_mut(&pid) {
-                        PilotState::publish(&mut pp.state, end);
-                        pp.times.finished = Some(now);
-                    }
-                });
-                self.emit(ProjEvent::Pilot {
-                    pilot: pid,
-                    state: end,
-                    t_s: now,
-                });
+                self.publish_pilot(pid, end, now);
             }
             PilotState::Active => {
                 p.accepting = false;
@@ -1283,83 +1232,50 @@ impl Mgr {
                 agent.detach();
             }
             let now = self.now();
-            self.registry.update(|r| {
-                if let Some(pp) = r.pilots.get_mut(&pid) {
-                    PilotState::publish(&mut pp.state, to);
-                    pp.times.finished = Some(now);
-                }
-            });
-            self.emit(ProjEvent::Pilot {
-                pilot: pid,
-                state: to,
-                t_s: now,
-            });
+            self.publish_pilot(pid, to, now);
         }
     }
 
     fn cancel_unit(&mut self, uid: UnitId) {
+        let Some(u) = self.units.get(&uid) else {
+            return;
+        };
+        if u.state == UnitState::Assigned {
+            // The agent will observe the flag and skip.
+            u.cancel_flag.store(true, Ordering::Release);
+        } else if u.state == UnitState::Pending || u.retry_pending {
+            let now = self.now();
+            self.cancel_waiting(uid, now);
+        }
+        // Running or terminal: cooperative semantics, no-op.
+    }
+
+    /// Cancel a unit that holds no pilot: queued (its queue entry goes stale
+    /// and is skipped when drawn — lazy deletion) or waiting out a backoff
+    /// (the granted retry is withdrawn; the machine has no `Failed ->
+    /// Canceled` edge, so the unit re-enters `Pending` and is canceled from
+    /// there).
+    fn cancel_waiting(&mut self, uid: UnitId, t: f64) {
         let Some(u) = self.units.get_mut(&uid) else {
             return;
         };
-        match u.state {
-            UnitState::Pending => {
-                // The queue entry becomes stale and is skipped at pop time
-                // (lazy deletion).
-                UnitState::advance(&mut u.state, UnitState::Canceled);
-                let now = self.now();
-                self.registry.update(|r| {
-                    if let Some(up) = r.units.get_mut(&uid) {
-                        UnitState::publish(&mut up.state, UnitState::Canceled);
-                        up.times.finished = Some(now);
-                    }
-                    r.open_units -= 1;
-                });
-                self.emit(ProjEvent::Unit {
-                    unit: uid,
-                    state: UnitState::Canceled,
-                    pilot: None,
-                    t_s: now,
-                });
-            }
-            UnitState::Assigned => {
-                // The agent will observe the flag and skip.
-                u.cancel_flag.store(true, Ordering::Release);
-            }
-            UnitState::Failed if u.retry_pending => {
-                // Waiting out a backoff timer: cancel the retry. The machine
-                // has no `Failed -> Canceled` edge — the granted retry means
-                // the unit conceptually re-enters the queue (`-> Pending`)
-                // and is canceled from there.
-                u.retry_pending = false;
-                u.generation += 1;
-                UnitState::advance(&mut u.state, UnitState::Pending);
-                UnitState::advance(&mut u.state, UnitState::Canceled);
-                let now = self.now();
-                self.registry.update(|r| {
-                    if let Some(up) = r.units.get_mut(&uid) {
-                        UnitState::publish(&mut up.state, UnitState::Canceled);
-                        up.times.finished = Some(now);
-                    }
-                    r.open_units -= 1;
-                });
-                self.emit(ProjEvent::Unit {
-                    unit: uid,
-                    state: UnitState::Canceled,
-                    pilot: None,
-                    t_s: now,
-                });
-            }
-            _ => {} // running or terminal: cooperative semantics, no-op
+        if u.retry_pending {
+            u.retry_pending = false;
+            u.generation += 1;
+            UnitState::advance(&mut u.state, UnitState::Pending);
         }
+        UnitState::advance(&mut u.state, UnitState::Canceled);
+        self.publish_unit(uid, UnitState::Canceled, None, t, |up| {
+            up.times.finished = Some(t);
+        });
     }
 
     fn begin_shutdown(&mut self) {
         self.shutting_down = true;
-        // Cancel everything still pending, including units waiting out a
+        // Cancel everything still waiting for a pilot, including units in a
         // retry backoff (their timers fire into a closed generation). Stale
-        // queue entries (units that already left `Pending`) must be filtered
-        // out or their open-unit slot would be released twice.
-        let mut pending: Vec<UnitId> = self
+        // queue entries (units that already left `Pending`) are filtered out.
+        let mut waiting: Vec<UnitId> = self
             .pending
             .drain()
             .into_iter()
@@ -1369,36 +1285,15 @@ impl Mgr {
                     .is_some_and(|u| u.state == UnitState::Pending)
             })
             .collect();
-        for (&uid, u) in self.units.iter_mut() {
-            if u.retry_pending {
-                u.retry_pending = false;
-                u.generation += 1;
-                pending.push(uid);
-            }
-        }
+        waiting.extend(
+            self.units
+                .iter()
+                .filter(|(_, u)| u.retry_pending)
+                .map(|(&uid, _)| uid),
+        );
         let now = self.now();
-        for uid in pending {
-            if let Some(u) = self.units.get_mut(&uid) {
-                if u.state == UnitState::Failed {
-                    // Canceled retry grant: route through `Pending`, the
-                    // machine has no direct `Failed -> Canceled` edge.
-                    UnitState::advance(&mut u.state, UnitState::Pending);
-                }
-                UnitState::advance(&mut u.state, UnitState::Canceled);
-            }
-            self.registry.update(|r| {
-                if let Some(up) = r.units.get_mut(&uid) {
-                    UnitState::publish(&mut up.state, UnitState::Canceled);
-                    up.times.finished = Some(now);
-                }
-                r.open_units -= 1;
-            });
-            self.emit(ProjEvent::Unit {
-                unit: uid,
-                state: UnitState::Canceled,
-                pilot: None,
-                t_s: now,
-            });
+        for uid in waiting {
+            self.cancel_waiting(uid, now);
         }
         // Drain all pilots.
         let pids: Vec<PilotId> = self.pilots.keys().copied().collect();
@@ -1796,24 +1691,44 @@ mod tests {
             FaultPlan::none().with_pilot_crashes(0.02),
             3,
         );
-        let p = s.submit_pilot(PilotDescription::new(1, forever()));
-        assert!(s.wait_pilot_active(p));
-        // Occupies the only core well past the crash clock.
-        let victim = s.submit_unit(UnitDescription::new(1), Arc::new(SyntheticKernel::new(5.0)));
+        // With seed 3 every pilot's crash clock runs out 1–30 ms after it
+        // activates, so whether a unit is still assigned or already running
+        // when its pilot crashes is thread timing: an assigned unit goes back
+        // to `Pending`, and with no pilot left a plain wait never returns.
+        // Each phase therefore offers fresh pilots, a bounded number of
+        // times, until every unit is terminal.
+        let offer_pilots = |s: &ThreadPilotService| {
+            (0..20).any(|_| {
+                s.submit_pilot(PilotDescription::new(1, forever()));
+                s.wait_all_units_timeout(Duration::from_millis(500))
+            })
+        };
+        // Holds its core far past any crash clock: only a crash ends it.
+        let victim = s.submit_unit(
+            UnitDescription::new(1),
+            kernel_fn(|_| {
+                std::thread::sleep(Duration::from_secs(5));
+                Ok(TaskOutput::none())
+            }),
+        );
+        assert!(offer_pilots(&s), "the victim never ran into a crash");
         let out = s.wait_unit(victim).unwrap();
         assert_eq!(out.state, UnitState::Failed);
         assert!(out.output.unwrap().unwrap_err().0.contains("pilot crash"));
-        assert_eq!(s.pilot_state(p), Some(PilotState::Failed));
-        // A fresh pilot keeps the service usable; an instant unit with a
-        // retry budget completes even if the new pilot crashes later.
-        let p2 = s.submit_pilot(PilotDescription::new(1, forever()));
-        assert!(s.wait_pilot_active(p2));
+        // Fresh pilots keep the service usable: a unit with a retry budget
+        // completes on a later pilot.
         let next = s.submit_unit(
             UnitDescription::new(1).with_retry(RetryPolicy::fixed(5, 0.005)),
             kernel_fn(|_| Ok(TaskOutput::of(1u8))),
         );
+        assert!(offer_pilots(&s), "no replacement pilot completed the unit");
         assert_eq!(s.wait_unit(next).unwrap().state, UnitState::Done);
         let report = s.shutdown();
+        let pilot_of = |id| report.units.iter().find(|u| u.unit == id).unwrap().pilot;
+        let crashed = pilot_of(victim).unwrap();
+        let end = report.pilots.iter().find(|p| p.0 == crashed).unwrap().3;
+        assert_eq!(end, PilotState::Failed);
+        assert!(pilot_of(next).is_some_and(|p| p != crashed));
         assert!(report.reliability.pilot_crashes >= 1);
         assert!(
             report.reliability.wasted_work_s > 0.0,

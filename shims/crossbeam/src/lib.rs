@@ -1,11 +1,11 @@
-//! Offline stand-in for the `crossbeam` crate: unbounded MPMC channels and a
-//! `select!` macro covering the receive-only form this workspace uses.
+//! Offline stand-in for the `crossbeam` crate: unbounded MPMC channels.
 //!
 //! The build container has no access to crates.io, so the workspace vendors
 //! the channel surface it needs. The implementation is a mutex/condvar queue:
-//! correct and simple rather than lock-free. `select!` polls its receivers
-//! with a short parked sleep between rounds — bounded staleness (≤ ~200 µs)
-//! in exchange for zero cross-channel waker plumbing.
+//! correct and simple rather than lock-free. Every blocking receive parks on
+//! the channel's condvar and is woken by `send`; nothing here sleeps or
+//! polls. There is no multi-channel select: a consumer of several sources
+//! takes one message type on one channel instead.
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -178,16 +178,6 @@ pub mod channel {
             }
         }
 
-        /// Select helper: `Some(result)` when a recv would complete now.
-        #[doc(hidden)]
-        pub fn select_ready(&self) -> Option<Result<T, RecvError>> {
-            match self.try_recv() {
-                Ok(v) => Some(Ok(v)),
-                Err(TryRecvError::Disconnected) => Some(Err(RecvError)),
-                Err(TryRecvError::Empty) => None,
-            }
-        }
-
         /// Blocking iterator draining the channel until disconnect.
         pub fn iter(&self) -> Iter<'_, T> {
             Iter { rx: self }
@@ -228,29 +218,6 @@ pub mod channel {
             self.rx.recv().ok()
         }
     }
-
-    // Re-export the macro under `crossbeam::channel::select!`, matching the
-    // real crate's path.
-    pub use crate::select;
-}
-
-/// Receive-only `select!`: polls each `recv(rx) -> pat => body` arm in order;
-/// a disconnected channel fires its arm with `Err(RecvError)`. Parks ~200 µs
-/// between empty rounds.
-#[macro_export]
-macro_rules! select {
-    ($(recv($rx:expr) -> $res:pat => $body:expr),+ $(,)?) => {{
-        'crossbeam_select: loop {
-            $(
-                if let Some(__ready) = $rx.select_ready() {
-                    let $res = __ready;
-                    let _ = $body;
-                    break 'crossbeam_select;
-                }
-            )+
-            std::thread::sleep(std::time::Duration::from_micros(200));
-        }
-    }};
 }
 
 #[cfg(test)]
@@ -301,30 +268,6 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         tx.send(42).unwrap();
         assert_eq!(h.join().unwrap(), Ok(42));
-    }
-
-    #[test]
-    // The select! expansion duplicates each arm's body across its ready and
-    // disconnected paths, so the compiler sees assignments it thinks are
-    // dead on the path not taken.
-    #[allow(unused_assignments)]
-    fn select_fires_ready_arm_and_disconnect() {
-        let (tx_a, rx_a) = unbounded::<u8>();
-        let (_tx_b, rx_b) = unbounded::<u8>();
-        tx_a.send(5).unwrap();
-        let mut got = None;
-        crate::select! {
-            recv(rx_a) -> msg => got = Some(msg),
-            recv(rx_b) -> msg => got = msg.ok().map(|_| unreachable!()),
-        }
-        assert_eq!(got, Some(Ok(5)));
-        // Disconnected arm fires with Err.
-        drop(tx_a);
-        let mut fired_err = false;
-        crate::select! {
-            recv(rx_a) -> msg => fired_err = msg.is_err(),
-        }
-        assert!(fired_err);
     }
 
     #[test]
