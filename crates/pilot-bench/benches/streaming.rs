@@ -1,11 +1,12 @@
 //! Streaming data-plane benchmarks: per-message vs batched produce across
-//! partition counts, and the allocating `poll` vs the buffer-reusing
-//! `poll_into` consume path. These are the measurements behind
-//! `BENCH_streaming.json` and the acceptance floor "batched produce ≥ 3×
-//! per-message at batch = 64".
+//! partition counts, in memory and through the write-ahead log, and the
+//! allocating `poll` vs the buffer-reusing `poll_into` consume path. These
+//! are the measurements behind `BENCH_streaming.json` and the acceptance
+//! floor "batched produce ≥ 3× per-message at batch = 64".
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pilot_streaming::Broker;
+use pilot_streaming::wal::TempDir;
+use pilot_streaming::{Broker, FsyncPolicy, WalConfig};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -56,6 +57,40 @@ fn bench_produce_per_message_vs_batched(c: &mut Criterion) {
                 },
             );
         }
+    }
+    group.finish();
+}
+
+/// The same produce paths on a WAL-backed broker (temp directory, fsync
+/// off, 4 partitions): a batch is one WAL write per partition touched, a
+/// per-message produce one write per message.
+fn bench_produce_wal(c: &mut Criterion) {
+    let mut group = c.benchmark_group("stream_produce_wal");
+    group.sample_size(20);
+    group.throughput(Throughput::Elements(MSGS));
+    let partitions = 4usize;
+    for batch in [1u64, 64, 256] {
+        let id = match batch {
+            1 => "per_message".to_string(),
+            n => format!("batch{n}"),
+        };
+        group.bench_with_input(BenchmarkId::new(id, partitions), &partitions, |b, &p| {
+            let dir = TempDir::new("bench-produce-wal").unwrap();
+            let cfg = WalConfig::new(dir.path()).with_fsync(FsyncPolicy::Never);
+            let broker = Broker::open(cfg).unwrap();
+            broker.create_topic("t", p, 1_000_000).unwrap();
+            let payload = Arc::new(vec![7u8; 256]);
+            b.iter(|| {
+                for _ in 0..MSGS / batch {
+                    if batch == 1 {
+                        black_box(broker.produce("t", None, Arc::clone(&payload)).unwrap());
+                    } else {
+                        let records = (0..batch).map(|_| (None, Arc::clone(&payload)));
+                        black_box(broker.produce_batch("t", records).unwrap());
+                    }
+                }
+            });
+        });
     }
     group.finish();
 }
@@ -117,6 +152,7 @@ fn bench_poll_vs_poll_into(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_produce_per_message_vs_batched,
+    bench_produce_wal,
     bench_poll_vs_poll_into
 );
 criterion_main!(benches);

@@ -16,7 +16,8 @@
 //!   timestamp read. [`Broker::produce_batch`] amortizes all of that over a
 //!   batch — the timestamp is read once, the round-robin cursor is advanced
 //!   under one lock, and each *touched partition* is locked exactly once no
-//!   matter how many records land in it.
+//!   matter how many records land in it. On a durable broker it is also
+//!   written once per WAL segment touched (see [`crate::wal`], "Batches").
 //! * **Consume.** [`Broker::poll`] is the stateless path: it re-derives the
 //!   consumer's assignment and allocates a fresh `Vec` on every call.
 //!   [`Broker::poll_into`] takes a [`Subscription`] handle that caches the
@@ -289,27 +290,55 @@ impl PartitionLog {
         lo
     }
 
-    /// Append one record (WAL first, then memory) and apply retention.
-    fn append(
+    /// Append messages with ascending offsets: the WAL first (one write per
+    /// segment touched), then memory, applying retention per record. A
+    /// failed write leaves memory holding exactly the records the earlier
+    /// writes put in the file.
+    fn append_batch(
         &mut self,
-        key: Option<u64>,
-        enqueued_s: f64,
-        payload: Arc<Vec<u8>>,
+        msgs: impl Iterator<Item = Message> + Clone,
         retention: &Retention,
-    ) -> Result<u64, WalError> {
-        let offset = self.next_offset;
-        if let Some(w) = self.wal.as_mut() {
-            w.append(&wal::encode_message(offset, key, enqueued_s, &payload))?;
+    ) -> Result<(), WalError> {
+        let written = match self.wal.as_mut() {
+            Some(w) => w.append_batch(msgs.clone(), |m, buf| {
+                wal::encode_message_into(buf, m.offset, m.key, m.enqueued_s, &m.payload)
+            }),
+            None => Ok(()),
+        };
+        let applied = written.as_ref().err().map_or(usize::MAX, |(n, _)| *n);
+        for m in msgs.take(applied) {
+            self.next_offset = m.offset + 1;
+            self.records.push_back(m);
+            self.apply_retention(retention);
         }
-        self.records.push_back(Message {
-            offset,
-            enqueued_s,
-            key,
-            payload,
-        });
-        self.next_offset = offset + 1;
-        self.apply_retention(retention);
-        Ok(offset)
+        written.map_err(|(_, e)| e)
+    }
+
+    /// Append `records` at the next offsets, all stamped `enqueued_s`.
+    /// Returns the first record's offset. Only the WAL pass clones the
+    /// iterator, so an in-memory log moves the records without copying.
+    fn append_records<R>(
+        &mut self,
+        records: R,
+        enqueued_s: f64,
+        retention: &Retention,
+    ) -> Result<u64, WalError>
+    where
+        R: IntoIterator<Item = Record>,
+        R::IntoIter: Clone,
+    {
+        let base = self.next_offset;
+        let msgs = records
+            .into_iter()
+            .zip(base..)
+            .map(move |((key, payload), offset)| Message {
+                offset,
+                enqueued_s,
+                key,
+                payload,
+            });
+        self.append_batch(msgs, retention)?;
+        Ok(base)
     }
 
     /// Apply one retention step after an append (or one replayed record).
@@ -764,6 +793,18 @@ impl Broker {
             .ok_or_else(|| BrokerError::UnknownTopic(name.to_string()))
     }
 
+    /// [`Broker::topic`], checked to have `partition`.
+    fn topic_partition(&self, name: &str, partition: usize) -> Result<Arc<Topic>, BrokerError> {
+        let t = self.topic(name)?;
+        if partition >= t.partitions.len() {
+            return Err(BrokerError::UnknownPartition {
+                topic: name.to_string(),
+                partition,
+            });
+        }
+        Ok(t)
+    }
+
     /// Bump the append sequence and wake parked consumers. The guard is
     /// dropped before `notify_all` (R4: no guard across a wake).
     fn note_append(&self) {
@@ -849,7 +890,7 @@ impl Broker {
         let now = self.now_s();
         let offset = t.partitions[p]
             .lock()
-            .append(key, now, payload, &t.retention)?;
+            .append_records([(key, payload)], now, &t.retention)?;
         self.note_append();
         Ok((p, offset))
     }
@@ -904,13 +945,9 @@ impl Broker {
         if total == 0 {
             return Ok(0);
         }
-        for (p, bucket) in buckets.into_iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let mut log = t.partitions[p].lock(); // one acquire per partition
-            for (key, payload) in bucket {
-                log.append(key, now, payload, &t.retention)?;
+        for (part, bucket) in t.partitions.iter().zip(buckets) {
+            if !bucket.is_empty() {
+                part.lock().append_records(bucket, now, &t.retention)?; // one acquire
             }
         }
         self.note_append();
@@ -958,13 +995,9 @@ impl Broker {
         if total == 0 {
             return Ok(0);
         }
-        for (p, bucket) in buckets.into_iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let mut log = t.partitions[p].lock(); // one acquire per partition
-            for (key, payload) in bucket {
-                log.append(key, now, payload, &t.retention)?;
+        for (part, bucket) in t.partitions.iter().zip(buckets) {
+            if !bucket.is_empty() {
+                part.lock().append_records(bucket, now, &t.retention)?; // one acquire
             }
         }
         self.note_append();
@@ -986,18 +1019,9 @@ impl Broker {
         if self.is_closed() {
             return Err(BrokerError::BrokerClosed);
         }
-        let t = self.topic(topic)?;
-        if partition >= t.partitions.len() {
-            return Err(BrokerError::UnknownPartition {
-                topic: topic.to_string(),
-                partition,
-            });
-        }
+        let t = self.topic_partition(topic, partition)?;
         let mut log = t.partitions[partition].lock();
-        let base = log.next_offset;
-        for (key, payload) in records {
-            log.append(*key, enqueued_s, Arc::clone(payload), &t.retention)?;
-        }
+        let base = log.append_records(records.iter().cloned(), enqueued_s, &t.retention)?;
         drop(log);
         self.note_append();
         Ok(base)
@@ -1016,30 +1040,11 @@ impl Broker {
         if self.is_closed() {
             return Err(BrokerError::BrokerClosed);
         }
-        let t = self.topic(topic)?;
-        if partition >= t.partitions.len() {
-            return Err(BrokerError::UnknownPartition {
-                topic: topic.to_string(),
-                partition,
-            });
-        }
+        let t = self.topic_partition(topic, partition)?;
         let mut log = t.partitions[partition].lock();
-        for m in msgs {
-            if m.offset < log.next_offset {
-                continue; // already recovered locally
-            }
-            if let Some(w) = log.wal.as_mut() {
-                w.append(&wal::encode_message(
-                    m.offset,
-                    m.key,
-                    m.enqueued_s,
-                    &m.payload,
-                ))?;
-            }
-            log.records.push_back(m.clone());
-            log.next_offset = m.offset + 1;
-            log.apply_retention(&t.retention);
-        }
+        // Offsets ascend, so the ones already recovered locally are a prefix.
+        let fresh = msgs.partition_point(|m| m.offset < log.next_offset);
+        log.append_batch(msgs[fresh..].iter().cloned(), &t.retention)?;
         drop(log);
         self.note_append();
         Ok(())
@@ -1054,13 +1059,7 @@ impl Broker {
         from: u64,
         max: usize,
     ) -> Result<Vec<Message>, BrokerError> {
-        let t = self.topic(topic)?;
-        if partition >= t.partitions.len() {
-            return Err(BrokerError::UnknownPartition {
-                topic: topic.to_string(),
-                partition,
-            });
-        }
+        let t = self.topic_partition(topic, partition)?;
         let mut out = Vec::new();
         Self::fetch_into(&t, partition, from, max, &mut out);
         Ok(out)
@@ -1089,13 +1088,7 @@ impl Broker {
     /// Next offset to be written in a partition (= count of appended records
     /// when nothing was trimmed).
     pub fn high_watermark(&self, topic: &str, partition: usize) -> Result<u64, BrokerError> {
-        let t = self.topic(topic)?;
-        if partition >= t.partitions.len() {
-            return Err(BrokerError::UnknownPartition {
-                topic: topic.to_string(),
-                partition,
-            });
-        }
+        let t = self.topic_partition(topic, partition)?;
         let hw = t.partitions[partition].lock().next_offset;
         Ok(hw)
     }
@@ -1112,13 +1105,7 @@ impl Broker {
 
     /// First offset not trimmed by count-based retention in a partition.
     pub fn start_offset(&self, topic: &str, partition: usize) -> Result<u64, BrokerError> {
-        let t = self.topic(topic)?;
-        if partition >= t.partitions.len() {
-            return Err(BrokerError::UnknownPartition {
-                topic: topic.to_string(),
-                partition,
-            });
-        }
+        let t = self.topic_partition(topic, partition)?;
         let start = t.partitions[partition].lock().start_offset;
         Ok(start)
     }
@@ -1155,13 +1142,7 @@ impl Broker {
         partition: usize,
         from: u64,
     ) -> Result<u64, BrokerError> {
-        let t = self.topic(topic)?;
-        if partition >= t.partitions.len() {
-            return Err(BrokerError::UnknownPartition {
-                topic: topic.to_string(),
-                partition,
-            });
-        }
+        let t = self.topic_partition(topic, partition)?;
         let log = t.partitions[partition].lock();
         Ok((log.records.len() - log.position(from)) as u64)
     }
@@ -1338,9 +1319,9 @@ impl Broker {
         Ok(())
     }
 
-    /// Persist a poll's commits to the offsets WAL (no-op without one).
-    /// Called with no other broker lock held; replay max-merges, so append
-    /// interleaving across threads is harmless.
+    /// Persist `(partition, offset, _)` commits to the offsets WAL in one
+    /// write (no-op without one). Called with no other broker lock held;
+    /// replay max-merges, so append interleaving across threads is harmless.
     fn log_commits(
         &self,
         group: &str,
@@ -1348,10 +1329,12 @@ impl Broker {
         commits: &[(usize, u64, u64)],
     ) -> Result<(), BrokerError> {
         if let Some(w) = &self.wal {
-            let mut log = w.offsets.lock();
-            for &(p, off, _) in commits {
-                log.append(&wal::encode_commit(group, topic, p as u32, off))?;
-            }
+            w.offsets
+                .lock()
+                .append_batch(commits, |&(p, off, _), buf| {
+                    buf.extend_from_slice(&wal::encode_commit(group, topic, p as u32, off));
+                })
+                .map_err(|(_, e)| e)?;
         }
         Ok(())
     }
@@ -1402,15 +1385,7 @@ impl Broker {
             }
             g.offsets[partition] = g.offsets[partition].max(offset);
         }
-        if let Some(w) = &self.wal {
-            w.offsets.lock().append(&wal::encode_commit(
-                group,
-                &topic_name,
-                partition as u32,
-                offset,
-            ))?;
-        }
-        Ok(())
+        self.log_commits(group, &topic_name, &[(partition, offset, 0)])
     }
 
     /// Poll up to `max` records across the consumer's assigned partitions;

@@ -37,6 +37,16 @@
 //! (a *process* crash still loses nothing — the data sits in the page cache
 //! — only a machine crash can). Recovery handles all three identically:
 //! whatever prefix survived is what comes back.
+//!
+//! ## Batches
+//!
+//! [`SegmentedLog::append_batch`] frames every record of a batch in place in
+//! one reused staging buffer and issues one write per segment touched: the
+//! buffer is flushed before a roll and before each fsync point, so segment
+//! boundaries, fsync points and file bytes are exactly those of one
+//! [`SegmentedLog::append`] per record. A failed write reports how many
+//! records the earlier writes of the batch put in the file; the broker
+//! applies exactly that prefix to memory and none of the failing write's.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
@@ -200,6 +210,10 @@ pub struct SegmentedLog {
     cur: File,
     cur_len: u64,
     since_sync: u32,
+    /// Frames staged for the next write; capacity reused across batches.
+    /// Flushed before each roll, so it never holds more than a segment plus
+    /// one frame.
+    buf: Vec<u8>,
 }
 
 fn segment_path(dir: &Path, index: u64) -> PathBuf {
@@ -317,59 +331,90 @@ impl SegmentedLog {
                 cur,
                 cur_len: last_len,
                 since_sync: 0,
+                buf: Vec::new(),
             },
             records,
             info,
         ))
     }
 
-    /// Append one framed record, rolling the segment first if the active one
-    /// is over the roll size, then applying the fsync policy.
+    /// Append one framed record: a batch of one.
     pub fn append(&mut self, payload: &[u8]) -> Result<(), WalError> {
-        if self.cur_len >= self.segment_bytes {
-            self.roll()?;
-        }
-        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        let path = segment_path(&self.dir, self.cur_index);
-        self.cur
-            .write_all(&frame)
-            .map_err(|e| WalError::io("append", &path, &e))?;
-        self.cur_len += frame.len() as u64;
-        self.since_sync += 1;
-        match self.fsync {
-            FsyncPolicy::Never => {}
-            FsyncPolicy::Always => self.sync()?,
-            FsyncPolicy::EveryN(n) => {
-                if self.since_sync >= n.max(1) {
-                    self.sync()?;
-                }
+        self.append_batch([payload], |p, buf| buf.extend_from_slice(p))
+            .map_err(|(_, e)| e)
+    }
+
+    /// Append a batch, framing each record in place: `encode(record, buf)`
+    /// appends its payload behind a reserved header, patched afterwards with
+    /// length and CRC; see "Batches" above for when it writes. On failure,
+    /// returns how many records the batch's earlier writes put in the file.
+    pub fn append_batch<T>(
+        &mut self,
+        records: impl IntoIterator<Item = T>,
+        mut encode: impl FnMut(T, &mut Vec<u8>),
+    ) -> Result<(), (usize, WalError)> {
+        self.buf.clear();
+        let (mut framed, mut written) = (0, 0);
+        for rec in records {
+            if self.cur_len + self.buf.len() as u64 >= self.segment_bytes {
+                self.flush().map_err(|e| (written, e))?;
+                written = framed;
+                self.roll().map_err(|e| (written, e))?;
+            }
+            let start = self.buf.len();
+            self.buf.extend_from_slice(&[0; FRAME_HEADER]);
+            encode(rec, &mut self.buf);
+            let len = (self.buf.len() - start - FRAME_HEADER) as u32;
+            let crc = crc32(&self.buf[start + FRAME_HEADER..]);
+            self.buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+            self.buf[start + 4..start + FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+            framed += 1;
+            self.since_sync += 1;
+            let sync_due = match self.fsync {
+                FsyncPolicy::Never => false,
+                FsyncPolicy::Always => true,
+                FsyncPolicy::EveryN(n) => self.since_sync >= n.max(1),
+            };
+            if sync_due {
+                self.flush().map_err(|e| (written, e))?;
+                written = framed;
+                self.sync().map_err(|e| (written, e))?;
             }
         }
+        self.flush().map_err(|e| (written, e))
+    }
+
+    /// Write the staged frames to the active segment in one `write_all`
+    /// (none when nothing is staged).
+    fn flush(&mut self) -> Result<(), WalError> {
+        self.cur
+            .write_all(&self.buf)
+            .map_err(|e| WalError::io("append", &segment_path(&self.dir, self.cur_index), &e))?;
+        self.cur_len += self.buf.len() as u64;
+        self.buf.clear();
         Ok(())
     }
 
     /// Fsync the active segment.
     pub fn sync(&mut self) -> Result<(), WalError> {
-        let path = segment_path(&self.dir, self.cur_index);
         self.cur
             .sync_data()
-            .map_err(|e| WalError::io("sync", &path, &e))?;
+            .map_err(|e| WalError::io("sync", &segment_path(&self.dir, self.cur_index), &e))?;
         self.since_sync = 0;
         Ok(())
     }
 
+    /// Sync the active segment and open the next; the index moves only once
+    /// the new file is open, so a failed roll leaves the writer where it was.
     fn roll(&mut self) -> Result<(), WalError> {
         self.sync()?;
-        self.cur_index += 1;
-        let path = segment_path(&self.dir, self.cur_index);
+        let path = segment_path(&self.dir, self.cur_index + 1);
         self.cur = OpenOptions::new()
             .append(true)
             .create_new(true)
             .open(&path)
             .map_err(|e| WalError::io("roll", &path, &e))?;
+        self.cur_index += 1;
         self.cur_len = 0;
         Ok(())
     }
@@ -454,6 +499,18 @@ impl<'a> Cursor<'a> {
 /// re-number densely.
 pub fn encode_message(offset: u64, key: Option<u64>, enqueued_s: f64, payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(8 + 1 + 8 + 8 + payload.len());
+    encode_message_into(&mut buf, offset, key, enqueued_s, payload);
+    buf
+}
+
+/// [`encode_message`], appended to `buf` (a WAL staging buffer).
+pub fn encode_message_into(
+    buf: &mut Vec<u8>,
+    offset: u64,
+    key: Option<u64>,
+    enqueued_s: f64,
+    payload: &[u8],
+) {
     buf.extend_from_slice(&offset.to_le_bytes());
     match key {
         Some(k) => {
@@ -464,7 +521,6 @@ pub fn encode_message(offset: u64, key: Option<u64>, enqueued_s: f64, payload: &
     }
     buf.extend_from_slice(&enqueued_s.to_bits().to_le_bytes());
     buf.extend_from_slice(payload);
-    buf
 }
 
 /// Inverse of [`encode_message`].
@@ -637,6 +693,30 @@ mod tests {
         drop(log);
         let (_, recovered, _) = SegmentedLog::open(tmp.path(), 4096, FsyncPolicy::Never).unwrap();
         assert_eq!(recovered.len(), 16, "recovery spans all segments in order");
+    }
+
+    #[test]
+    fn failed_roll_keeps_the_writer_on_its_segment() {
+        let tmp = TempDir::new("failed-roll").unwrap();
+        let (mut log, _, _) = SegmentedLog::open(tmp.path(), 4096, FsyncPolicy::Never).unwrap();
+        // Squat on the next segment's name: `create_new` fails even as root.
+        let blocker = segment_path(tmp.path(), 1);
+        fs::write(&blocker, b"").unwrap();
+        let (written, err) = log
+            .append_batch([[1u8; 1000]; 6], |p, buf| buf.extend_from_slice(&p))
+            .unwrap_err();
+        // Five 1 008-byte frames cross the 4 KiB bound; the sixth needs the roll.
+        assert_eq!((written, err.op), (5, "roll"));
+        assert_eq!(log.segment_count(), 1, "the failed roll did not advance");
+        fs::remove_file(&blocker).unwrap();
+        log.append(b"after").unwrap();
+        assert!(
+            blocker.exists(),
+            "the retried roll takes the name it failed on"
+        );
+        drop(log);
+        let (_, recovered, _) = SegmentedLog::open(tmp.path(), 4096, FsyncPolicy::Never).unwrap();
+        assert_eq!(recovered.len(), 6);
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! Integration tests of the durable broker across full restart cycles:
 //! produce / consume / reopen chains, exactly-once resume over generations,
-//! compaction across restarts, and fsync policies.
+//! compaction across restarts, fsync policies, failed segment rolls, and
+//! batched appends writing the same bytes as per-record ones.
 
-use pilot_streaming::wal::TempDir;
+use pilot_streaming::wal::{crc32, SegmentedLog, TempDir};
 use pilot_streaming::{Broker, FsyncPolicy, Retention, WalConfig};
+use proptest::prelude::*;
 use std::collections::HashSet;
+use std::path::Path;
 use std::sync::Arc;
 
 fn payload(gen: u64, i: u64) -> Arc<Vec<u8>> {
@@ -205,4 +208,123 @@ fn retention_trim_and_loss_accounting_survive_restart() {
         "the trimmed gap is counted, not hidden"
     );
     assert_eq!(stats.committed, 40);
+}
+
+/// A segment roll that fails mid-batch returns the error, and memory holds
+/// exactly the prefix the WAL holds: the live high watermark equals the
+/// record count a reopen recovers.
+#[test]
+fn failed_roll_mid_batch_leaves_memory_equal_to_the_wal_prefix() {
+    let dir = TempDir::new("failed-roll").unwrap();
+    let cfg = WalConfig::new(dir.path())
+        .with_segment_bytes(4096)
+        .with_fsync(FsyncPolicy::Never);
+    let broker = Broker::open(cfg.clone()).unwrap();
+    broker
+        .create_topic_with("t", 1, Retention::Count(1_000_000))
+        .unwrap();
+    // Squat on the partition's next segment name: `create_new` fails even
+    // when run as root.
+    std::fs::write(dir.path().join("topics/t/0/seg-0000000001.log"), b"").unwrap();
+    // 64 frames of 225 B: the 4 KiB segment is full after the 19th.
+    let records = (0..64u8).map(|i| (None, Arc::new(vec![i; 200])));
+    assert!(
+        broker.produce_batch("t", records).is_err(),
+        "the batch straddles the failed roll"
+    );
+    let live = broker.high_watermark("t", 0).unwrap();
+    assert!(live > 0 && live < 64, "a strict prefix was applied: {live}");
+    drop(broker);
+    let broker = Broker::open(cfg).unwrap();
+    assert_eq!(
+        broker.high_watermark("t", 0).unwrap(),
+        live,
+        "memory == WAL prefix"
+    );
+}
+
+/// Every segment file of a log directory: `(name, bytes)`, sorted by name.
+fn segment_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (
+                e.file_name().to_string_lossy().into_owned(),
+                std::fs::read(e.path()).unwrap(),
+            )
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Appending a payload sequence in arbitrary batch splits writes the
+    /// same segment files, byte for byte, as one append per record — which
+    /// in turn match the documented framing and roll rule — under every
+    /// fsync policy, with 4 KiB segments so batches straddle rolls. Both
+    /// logs recover the same records.
+    #[test]
+    fn batched_appends_write_the_bytes_of_per_record_appends(
+        sizes in proptest::collection::vec(0usize..700, 1..80),
+        splits in proptest::collection::vec(1usize..40, 1..20),
+        policy in 0u32..3,
+        every in 1u32..6,
+    ) {
+        let fsync = match policy {
+            0 => FsyncPolicy::Never,
+            1 => FsyncPolicy::EveryN(every),
+            _ => FsyncPolicy::Always,
+        };
+        let payloads: Vec<Vec<u8>> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| (0..n).map(|j| (i * 31 + j) as u8).collect())
+            .collect();
+        // The per-record layout, derived from the framing and roll rule alone.
+        let mut expected: Vec<Vec<u8>> = vec![Vec::new()];
+        for p in &payloads {
+            if expected.last().unwrap().len() >= 4096 {
+                expected.push(Vec::new());
+            }
+            let seg = expected.last_mut().unwrap();
+            seg.extend_from_slice(&(p.len() as u32).to_le_bytes());
+            seg.extend_from_slice(&crc32(p).to_le_bytes());
+            seg.extend_from_slice(p);
+        }
+        let expected: Vec<(String, Vec<u8>)> = expected
+            .into_iter()
+            .enumerate()
+            .map(|(i, bytes)| (format!("seg-{i:010}.log"), bytes))
+            .collect();
+
+        let single = TempDir::new("bytes-single").unwrap();
+        let batched = TempDir::new("bytes-batched").unwrap();
+        {
+            let (mut log, _, _) = SegmentedLog::open(single.path(), 4096, fsync).unwrap();
+            for p in &payloads {
+                log.append(p).unwrap();
+            }
+            let (mut log, _, _) = SegmentedLog::open(batched.path(), 4096, fsync).unwrap();
+            let mut rest = &payloads[..];
+            for &k in splits.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (batch, tail) = rest.split_at(k.min(rest.len()));
+                log.append_batch(batch, |p, buf| buf.extend_from_slice(p)).unwrap();
+                rest = tail;
+            }
+        }
+        let single_files = segment_files(single.path());
+        prop_assert_eq!(&single_files, &expected, "per-record layout");
+        prop_assert_eq!(&segment_files(batched.path()), &single_files, "batched layout");
+        let (_, a, _) = SegmentedLog::open(single.path(), 4096, fsync).unwrap();
+        let (_, b, _) = SegmentedLog::open(batched.path(), 4096, fsync).unwrap();
+        prop_assert_eq!(&a, &payloads);
+        prop_assert_eq!(&b, &payloads);
+    }
 }
