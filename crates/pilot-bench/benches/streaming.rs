@@ -1,12 +1,13 @@
 //! Streaming data-plane benchmarks: per-message vs batched produce across
-//! partition counts, in memory and through the write-ahead log, and the
-//! allocating `poll` vs the buffer-reusing `poll_into` consume path. These
+//! partition counts, in memory and through the write-ahead log, recovery of
+//! a WAL-backed broker, and the allocating `poll` vs the buffer-reusing
+//! `poll_into` consume path. These
 //! are the measurements behind `BENCH_streaming.json` and the acceptance
 //! floor "batched produce ≥ 3× per-message at batch = 64".
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pilot_streaming::wal::TempDir;
-use pilot_streaming::{Broker, FsyncPolicy, WalConfig};
+use pilot_bench::experiments::st::WalStream;
+use pilot_streaming::Broker;
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -75,23 +76,34 @@ fn bench_produce_wal(c: &mut Criterion) {
             n => format!("batch{n}"),
         };
         group.bench_with_input(BenchmarkId::new(id, partitions), &partitions, |b, &p| {
-            let dir = TempDir::new("bench-produce-wal").unwrap();
-            let cfg = WalConfig::new(dir.path()).with_fsync(FsyncPolicy::Never);
-            let broker = Broker::open(cfg).unwrap();
-            broker.create_topic("t", p, 1_000_000).unwrap();
-            let payload = Arc::new(vec![7u8; 256]);
-            b.iter(|| {
-                for _ in 0..MSGS / batch {
-                    if batch == 1 {
-                        black_box(broker.produce("t", None, Arc::clone(&payload)).unwrap());
-                    } else {
-                        let records = (0..batch).map(|_| (None, Arc::clone(&payload)));
-                        black_box(broker.produce_batch("t", records).unwrap());
-                    }
-                }
-            });
+            let wal = WalStream::new(p).unwrap();
+            b.iter(|| wal.produce(MSGS, batch).unwrap());
         });
     }
+    group.finish();
+}
+
+/// Records in the log `stream_recover_wal` replays: 64 Ki × 256 B, 16 MiB of
+/// payload over 4 partitions.
+const RECOVER_MSGS: u64 = 65_536;
+
+/// `Broker::open` over a 4-partition WAL of [`RECOVER_MSGS`] records (temp
+/// directory, fsync off): read, checksum, decode and re-apply retention to
+/// every record, then drop the broker.
+fn bench_recover_wal(c: &mut Criterion) {
+    let mut group = c.benchmark_group("stream_recover_wal");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(RECOVER_MSGS));
+    let partitions = 4usize;
+    group.bench_with_input(
+        BenchmarkId::from_parameter(partitions),
+        &partitions,
+        |b, &p| {
+            let wal = WalStream::new(p).unwrap();
+            wal.produce(RECOVER_MSGS, 256).unwrap();
+            b.iter(|| assert_eq!(wal.recover().unwrap(), RECOVER_MSGS));
+        },
+    );
     group.finish();
 }
 
@@ -153,6 +165,7 @@ criterion_group!(
     benches,
     bench_produce_per_message_vs_batched,
     bench_produce_wal,
+    bench_recover_wal,
     bench_poll_vs_poll_into
 );
 criterion_main!(benches);

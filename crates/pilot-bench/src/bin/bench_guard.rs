@@ -1,19 +1,24 @@
-//! Read-plane regression guard: re-measures the three load-bearing query-path
-//! costs — the projection dashboard read, the materializer fold-apply, and
-//! one publication interval on a 10 000-row table — and fails (exit 1) if any
-//! regressed more than 2× against the committed `BENCH_query.json` baseline.
+//! Regression guard over the committed bench ledgers: re-measures the three
+//! load-bearing read-plane costs — the projection dashboard read, the
+//! materializer fold-apply, and one publication interval on a 10 000-row
+//! table — against `BENCH_query.json`, and the two durable data-plane costs
+//! — a 256-record batch into a 4-partition WAL-backed broker and recovery of
+//! a 64 Ki-record WAL — against `BENCH_streaming.json`. It fails (exit 1) if
+//! any regressed more than 2×.
 //!
 //! The criterion shim prints plain text, so the guard does not parse bench
 //! output; it re-times the same workloads directly (best-of-N to damp CI
-//! noise) and compares against the baseline file parsed with the miniapp's
+//! noise) and compares against the baseline files parsed with the miniapp's
 //! own JSON reader. 2× is deliberately loose: it catches accidental
 //! algorithmic regressions (a lock on the read path, an O(n) fold step going
-//! O(n²), a publication that copies the table again: ~12× at 10 000 rows)
-//! without tripping on shared-runner jitter.
+//! O(n²), a publication that copies the table again: ~12× at 10 000 rows; a
+//! bytewise checksum again: ~2.3× on the durable batch) without tripping on
+//! shared-runner jitter.
 //!
-//! Usage: `query_guard [path/to/BENCH_query.json]`
+//! Usage: `bench_guard [path/to/BENCH_query.json [path/to/BENCH_streaming.json]]`
 
 use pilot_bench::experiments::qp::PublishCycle;
+use pilot_bench::experiments::st::WalStream;
 use pilot_core::describe::{PilotDescription, UnitDescription};
 use pilot_core::events::ProjEvent;
 use pilot_core::ids::{PilotId, UnitId};
@@ -70,24 +75,43 @@ fn publish_cycle_us(rows: u64) -> Result<f64, BrokerError> {
     Ok(best)
 }
 
-fn main() {
-    let path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| format!("{}/../../BENCH_query.json", env!("CARGO_MANIFEST_DIR")));
-    let raw = match std::fs::read_to_string(&path) {
+/// The committed bench file at `path`, parsed; exits 2 if it cannot be read.
+fn load(path: &str) -> json::Value {
+    let raw = match std::fs::read_to_string(path) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("query_guard: cannot read baseline {path}: {e}");
+            eprintln!("bench_guard: cannot read baseline {path}: {e}");
             std::process::exit(2);
         }
     };
-    let doc = match json::parse(&raw) {
+    match json::parse(&raw) {
         Ok(v) => v,
         Err(e) => {
-            eprintln!("query_guard: cannot parse baseline {path}: {e:?}");
+            eprintln!("bench_guard: cannot parse baseline {path}: {e:?}");
             std::process::exit(2);
         }
-    };
+    }
+}
+
+/// The value in `r`, or exit 2 naming the workload that failed to run.
+fn or_exit<T>(what: &str, r: Result<T, BrokerError>) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("bench_guard: {what} failed: {e:?}");
+        std::process::exit(2);
+    })
+}
+
+fn main() {
+    let mut args = std::env::args().skip(1);
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let query_path = args
+        .next()
+        .unwrap_or_else(|| format!("{root}/BENCH_query.json"));
+    let streaming_path = args
+        .next()
+        .unwrap_or_else(|| format!("{root}/BENCH_streaming.json"));
+    let query_doc = load(&query_path);
+    let streaming_doc = load(&streaming_path);
 
     // --- dashboard read: the committed projection/2000 workload -----------
     let units = 2000usize;
@@ -167,41 +191,67 @@ fn main() {
     });
 
     // --- publish: the committed query_publish/10000 workload --------------
-    let publish_us = match publish_cycle_us(10_000) {
-        Ok(us) => us,
-        Err(e) => {
-            eprintln!("query_guard: publish cycle failed: {e:?}");
+    let publish_us = or_exit("publish cycle", publish_cycle_us(10_000));
+
+    // --- durable produce: the committed stream_produce_wal/batch256/4 -----
+    let wal = or_exit("WAL broker", WalStream::new(4));
+    let produce_us = time_us(5, 4, || or_exit("WAL produce", wal.produce(4096, 256)));
+    drop(wal);
+
+    // --- recovery: the committed stream_recover_wal/4 ---------------------
+    let wal = or_exit("WAL broker", WalStream::new(4));
+    or_exit("WAL produce", wal.produce(65_536, 256));
+    let recover_us = time_us(5, 1, || {
+        if or_exit("WAL recovery", wal.recover()) != 65_536 {
+            eprintln!("bench_guard: WAL recovery lost records");
             std::process::exit(2);
         }
-    };
+    });
 
     let checks = [
-        ("query_dashboard/projection/2000", dash_us),
-        ("query_fold/apply", fold_us),
-        ("query_publish/10000", publish_us),
+        (
+            &query_doc,
+            &query_path,
+            "query_dashboard/projection/2000",
+            dash_us,
+        ),
+        (&query_doc, &query_path, "query_fold/apply", fold_us),
+        (&query_doc, &query_path, "query_publish/10000", publish_us),
+        (
+            &streaming_doc,
+            &streaming_path,
+            "stream_produce_wal/batch256/4",
+            produce_us,
+        ),
+        (
+            &streaming_doc,
+            &streaming_path,
+            "stream_recover_wal/4",
+            recover_us,
+        ),
     ];
     let mut failed = false;
-    for (id, measured) in checks {
-        match baseline_us(&doc, id) {
+    for (doc, path, id, measured) in checks {
+        match baseline_us(doc, id) {
             Some(base) => {
                 let ratio = measured / base.max(1e-9);
                 let verdict = if ratio > 2.0 { "REGRESSED" } else { "ok" };
                 println!(
-                    "query_guard: {id}: measured {measured:.3} µs vs baseline {base:.3} µs ({ratio:.2}x) {verdict}"
+                    "bench_guard: {id}: measured {measured:.3} µs vs baseline {base:.3} µs ({ratio:.2}x) {verdict}"
                 );
                 if ratio > 2.0 {
                     failed = true;
                 }
             }
             None => {
-                eprintln!("query_guard: baseline {path} has no entry for {id}");
+                eprintln!("bench_guard: baseline {path} has no entry for {id}");
                 failed = true;
             }
         }
     }
     if failed {
-        eprintln!("query_guard: read-plane performance regressed >2x against {path}");
+        eprintln!("bench_guard: performance regressed >2x against the committed baselines");
         std::process::exit(1);
     }
-    println!("query_guard: read plane within 2x of committed baselines");
+    println!("bench_guard: read and durable data planes within 2x of committed baselines");
 }

@@ -335,7 +335,7 @@ fn timed_shard_fold(
 /// timer can wrap just the read plane's share: [`stage`](Self::stage) appends
 /// 40 updates to distinct, scattered existing units (the producer's half);
 /// [`fold_and_publish`](Self::fold_and_publish) fetches, folds and publishes
-/// them. The `query` bench's `query_publish/*` group and `query_guard` time
+/// them. The `query` bench's `query_publish/*` group and `bench_guard` time
 /// the same cycle through this one fixture.
 pub struct PublishCycle {
     broker: Arc<Broker>,

@@ -9,7 +9,9 @@ use pilot_core::thread::{kernel_fn, TaskOutput};
 use pilot_core::WallClock;
 use pilot_miniapp::{ExperimentSpec, Factor, ResultTable};
 use pilot_perfmodel::{mae, r_squared, train_test_split, FeatureMap, LinearModel};
-use pilot_streaming::Broker;
+use pilot_streaming::wal::TempDir;
+use pilot_streaming::{Broker, BrokerError, FsyncPolicy, WalConfig};
+use std::path::Path;
 use std::sync::Arc;
 
 /// ST-1: produce `msgs` records through pilot producer units (per-message
@@ -177,6 +179,56 @@ pub fn run_st1(quick: bool) -> String {
     ));
     assert!(r2 > 0.3, "model must beat the mean predictor, got R²={r2}");
     common::emit(out)
+}
+
+/// The durable data plane the `streaming` bench's `stream_produce_wal/*` and
+/// `stream_recover_wal/*` rows and `bench_guard` time: a broker over a WAL
+/// tree in a temp directory (fsync off, 8 MiB segments) with one topic `t`
+/// of `partitions` partitions, fed 256-byte records.
+pub struct WalStream {
+    dir: TempDir,
+    broker: Broker,
+    payload: Arc<Vec<u8>>,
+}
+
+impl WalStream {
+    /// A fresh WAL-backed broker with an empty topic `t`.
+    pub fn new(partitions: usize) -> Result<Self, BrokerError> {
+        let dir = TempDir::new("wal-stream")?;
+        let broker = Broker::open(Self::config(dir.path()))?;
+        broker.create_topic("t", partitions, usize::MAX / 2)?;
+        Ok(WalStream {
+            dir,
+            broker,
+            payload: Arc::new(vec![7u8; 256]),
+        })
+    }
+
+    fn config(dir: &Path) -> WalConfig {
+        WalConfig::new(dir).with_fsync(FsyncPolicy::Never)
+    }
+
+    /// Produce `msgs` records: one `produce` each when `batch` is 1, else
+    /// `produce_batch` calls of `batch` records.
+    pub fn produce(&self, msgs: u64, batch: u64) -> Result<(), BrokerError> {
+        let batch = batch.max(1);
+        for _ in 0..msgs / batch {
+            if batch == 1 {
+                self.broker.produce("t", None, Arc::clone(&self.payload))?;
+            } else {
+                let records = (0..batch).map(|_| (None, Arc::clone(&self.payload)));
+                self.broker.produce_batch("t", records)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Open a second broker over the same WAL tree, replaying all of it;
+    /// returns the messages recovered into topic `t`.
+    pub fn recover(&self) -> Result<u64, BrokerError> {
+        let broker = Broker::open(Self::config(self.dir.path()))?;
+        (0..broker.partitions("t")?).try_fold(0, |n, p| Ok(n + broker.high_watermark("t", p)?))
+    }
 }
 
 #[cfg(test)]

@@ -558,12 +558,15 @@ impl Broker {
     /// re-join, then resume exactly where the crashed broker committed them.
     pub fn open(cfg: WalConfig) -> Result<Broker, BrokerError> {
         let mut recovery = RecoveryInfo::default();
-        let (meta, meta_records, info) =
-            SegmentedLog::open(cfg.dir.join("meta"), cfg.segment_bytes, cfg.fsync)?;
+        let mut metas = Vec::new();
+        let (meta, info) =
+            SegmentedLog::open_with(cfg.dir.join("meta"), cfg.segment_bytes, cfg.fsync, |rec| {
+                metas.push(wal::decode_topic_meta(rec)?);
+                Ok(())
+            })?;
         recovery.absorb(&info);
         let mut topics: HashMap<String, Arc<Topic>> = HashMap::new();
-        for rec in &meta_records {
-            let (name, partitions, code) = wal::decode_topic_meta(rec)?;
+        for (name, partitions, code) in metas {
             let retention = match code {
                 RetentionCode::Count(n) => Retention::Count(n as usize),
                 RetentionCode::Compact(n) => Retention::Compact {
@@ -586,36 +589,40 @@ impl Broker {
                 }),
             );
         }
-        let (offsets, offset_records, info) =
-            SegmentedLog::open(cfg.dir.join("offsets"), cfg.segment_bytes, cfg.fsync)?;
-        recovery.absorb(&info);
         let mut groups: HashMap<String, Mutex<Group>> = HashMap::new();
-        for rec in &offset_records {
-            let (group, topic, partition, offset) = wal::decode_commit(rec)?;
-            // A commit for a topic (or partition) the truncated meta log no
-            // longer knows is dropped: offsets are meaningless without the
-            // log they index into.
-            let Some(t) = topics.get(&topic) else {
-                continue;
-            };
-            if partition as usize >= t.partitions.len() {
-                continue;
-            }
-            let g = groups.entry(group).or_insert_with(|| {
-                Mutex::new(Group {
-                    members: Vec::new(),
-                    offsets: vec![0; t.partitions.len()],
-                    topic: topic.clone(),
-                    epoch: 1,
-                    records_lost: 0,
-                })
-            });
-            let mut g = g.lock();
-            if g.topic == topic {
-                let cell = &mut g.offsets[partition as usize];
-                *cell = (*cell).max(offset);
-            }
-        }
+        let (offsets, info) = SegmentedLog::open_with(
+            cfg.dir.join("offsets"),
+            cfg.segment_bytes,
+            cfg.fsync,
+            |rec| {
+                let (group, topic, partition, offset) = wal::decode_commit(rec)?;
+                // A commit for a topic (or partition) the truncated meta log
+                // no longer knows is dropped: offsets are meaningless without
+                // the log they index into.
+                let Some(t) = topics.get(&topic) else {
+                    return Ok(());
+                };
+                if partition as usize >= t.partitions.len() {
+                    return Ok(());
+                }
+                let g = groups.entry(group).or_insert_with(|| {
+                    Mutex::new(Group {
+                        members: Vec::new(),
+                        offsets: vec![0; t.partitions.len()],
+                        topic: topic.clone(),
+                        epoch: 1,
+                        records_lost: 0,
+                    })
+                });
+                let g = g.get_mut();
+                if g.topic == topic {
+                    let cell = &mut g.offsets[partition as usize];
+                    *cell = (*cell).max(offset);
+                }
+                Ok(())
+            },
+        )?;
+        recovery.absorb(&info);
         // The offsets log can run ahead of a truncated partition log (the
         // commit record survived, the data's tail did not). Clamp: a group
         // must not resume past the recovered high watermark.
@@ -649,9 +656,8 @@ impl Broker {
         cfg: &WalConfig,
         retention: &Retention,
     ) -> Result<(PartitionLog, RecoveryInfo), BrokerError> {
-        let (wal_log, records, info) = SegmentedLog::open(dir, cfg.segment_bytes, cfg.fsync)?;
-        let mut log = PartitionLog::fresh(retention, Some(wal_log));
-        for rec in &records {
+        let mut log = PartitionLog::fresh(retention, None);
+        let (wal_log, info) = SegmentedLog::open_with(dir, cfg.segment_bytes, cfg.fsync, |rec| {
             let (offset, key, enqueued_s, payload) = wal::decode_message(rec)?;
             log.records.push_back(Message {
                 offset,
@@ -664,7 +670,9 @@ impl Broker {
             // brokers's trim/compaction decisions record for record, so the
             // recovered in-memory state matches the crashed one's.
             log.apply_retention(retention);
-        }
+            Ok(())
+        })?;
+        log.wal = Some(wal_log);
         Ok((log, info))
     }
 
@@ -744,10 +752,11 @@ impl Broker {
         for p in 0..n {
             let wal_log = match &self.wal {
                 Some(w) => {
-                    let (log, _, _) = SegmentedLog::open(
+                    let (log, _) = SegmentedLog::open_with(
                         partition_dir(&w.cfg.dir, name, p),
                         w.cfg.segment_bytes,
                         w.cfg.fsync,
+                        |_| Ok(()),
                     )?;
                     Some(log)
                 }

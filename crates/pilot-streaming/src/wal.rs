@@ -15,12 +15,20 @@
 //! [ len: u32 LE ][ crc: u32 LE ][ payload: len bytes ]
 //! ```
 //!
-//! where `crc` is the IEEE CRC-32 of the payload. On recovery a record is
-//! accepted only if the full frame fits in the file *and* the checksum
-//! matches; the first torn or corrupt record truncates the log right there
-//! (the file is physically shrunk to the last valid frame and any later
-//! segments are deleted), which is what makes recovery *prefix-consistent*:
-//! the recovered log is always a prefix of what was appended.
+//! where `crc` is the IEEE CRC-32 of the payload, computed eight bytes at a
+//! time (slicing-by-8) to the same value a bytewise table gives, so the
+//! bytes on disk do not depend on how the checksum is computed. On recovery
+//! a record is accepted only if the full frame fits in the file *and* the
+//! checksum matches; the first torn or corrupt record truncates the log
+//! right there (the file is physically shrunk to the last valid frame and
+//! any later segments are deleted), which is what makes recovery
+//! *prefix-consistent*: the recovered log is always a prefix of what was
+//! appended.
+//!
+//! Recovery reads a segment into one buffer and hands each valid record to
+//! the caller as a slice of it ([`SegmentedLog::open_with`]); the broker
+//! decodes straight from that slice, so the payload it keeps is the only
+//! copy a record costs on the way back.
 //!
 //! ## Segments
 //!
@@ -31,22 +39,27 @@
 //!
 //! ## Fsync policy
 //!
-//! [`FsyncPolicy`] trades durability for throughput: `Always` fsyncs after
-//! every append (a crash loses nothing that was acknowledged), `EveryN(n)`
+//! [`FsyncPolicy`] trades durability for throughput: `Always` makes every
+//! append durable before it returns (a crash loses nothing that was
+//! acknowledged) with one fsync per segment the append touched, `EveryN(n)`
 //! bounds the loss window to `n` records, `Never` leaves flushing to the OS
 //! (a *process* crash still loses nothing — the data sits in the page cache
-//! — only a machine crash can). Recovery handles all three identically:
-//! whatever prefix survived is what comes back.
+//! — only a machine crash can). A roll fsyncs the finished segment under
+//! every policy. Recovery handles all three identically: whatever prefix
+//! survived is what comes back.
 //!
 //! ## Batches
 //!
 //! [`SegmentedLog::append_batch`] frames every record of a batch in place in
 //! one reused staging buffer and issues one write per segment touched: the
-//! buffer is flushed before a roll and before each fsync point, so segment
-//! boundaries, fsync points and file bytes are exactly those of one
-//! [`SegmentedLog::append`] per record. A failed write reports how many
-//! records the earlier writes of the batch put in the file; the broker
-//! applies exactly that prefix to memory and none of the failing write's.
+//! buffer is flushed before a roll and before each `EveryN` fsync point, so
+//! segment boundaries and file bytes are exactly those of one
+//! [`SegmentedLog::append`] per record under every policy, and so are the
+//! fsync points under `EveryN`. Under `Always` the batch is the unit of
+//! durability: it fsyncs once, after its last write, plus the roll's fsync
+//! of each segment it finished. A failed write reports how many records the
+//! earlier writes of the batch put in the file; the broker applies exactly
+//! that prefix to memory and none of the failing write's.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
@@ -54,7 +67,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) lookup table,
-/// built at compile time.
+/// built at compile time: `CRC_TABLE[b]` is the CRC state after feeding byte
+/// `b` into a zero state.
 const CRC_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -75,12 +89,45 @@ const CRC_TABLE: [u32; 256] = {
     table
 };
 
-/// IEEE CRC-32 of `bytes` (the checksum in every record frame).
+/// Slicing-by-8 tables: `CRC_SLICES[k][b]` is the CRC state after byte `b`
+/// followed by `k` zero bytes, so eight table reads advance the state by a
+/// whole 8-byte word.
+const CRC_SLICES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    t[0] = CRC_TABLE;
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ CRC_TABLE[(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    t
+};
+
+/// IEEE CRC-32 of `bytes` (the checksum in every record frame), computed
+/// eight bytes at a time; the tail shorter than a word goes bytewise.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_SLICES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        c = t[7][lo as u8 as usize]
+            ^ t[6][(lo >> 8) as u8 as usize]
+            ^ t[5][(lo >> 16) as u8 as usize]
+            ^ t[4][(lo >> 24) as u8 as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][(c as u8 ^ b) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -94,7 +141,9 @@ pub enum FsyncPolicy {
     /// Fsync after every `n` appends: bounds the power-loss window to `n`
     /// records.
     EveryN(u32),
-    /// Fsync after every append: an acknowledged record survives power loss.
+    /// Durable before acknowledged: every append (a whole batch for
+    /// [`SegmentedLog::append_batch`]) fsyncs each segment it touched once,
+    /// before it returns, so an acknowledged record survives power loss.
     Always,
 }
 
@@ -220,11 +269,14 @@ fn segment_path(dir: &Path, index: u64) -> PathBuf {
     dir.join(format!("seg-{index:010}.log"))
 }
 
-/// Parse every whole, checksum-valid frame in `buf`. Returns the records and
-/// the byte length of the valid prefix; `clean` is false when a torn or
-/// corrupt frame cut the scan short.
-fn parse_frames(buf: &[u8]) -> (Vec<Vec<u8>>, u64, bool) {
-    let mut records = Vec::new();
+/// Hand every whole, checksum-valid frame in `buf` to `visit`, in order, as
+/// a slice of `buf`. Returns the byte length of the valid prefix and whether
+/// the scan reached the end (`false` when a torn or corrupt frame cut it
+/// short); an error from `visit` stops the scan and is returned as is.
+fn scan_frames(
+    buf: &[u8],
+    visit: &mut dyn FnMut(&[u8]) -> Result<(), WalError>,
+) -> Result<(u64, bool), WalError> {
     let mut pos = 0usize;
     while pos + FRAME_HEADER <= buf.len() {
         let len = u32::from_le_bytes([buf[pos], buf[pos + 1], buf[pos + 2], buf[pos + 3]]) as usize;
@@ -232,17 +284,17 @@ fn parse_frames(buf: &[u8]) -> (Vec<Vec<u8>>, u64, bool) {
         let start = pos + FRAME_HEADER;
         let end = match start.checked_add(len) {
             Some(e) if e <= buf.len() => e,
-            _ => return (records, pos as u64, false), // torn length/payload
+            _ => return Ok((pos as u64, false)), // torn length/payload
         };
-        if crc32(&buf[start..end]) != crc {
-            return (records, pos as u64, false); // corrupt payload
+        let rec = &buf[start..end];
+        if crc32(rec) != crc {
+            return Ok((pos as u64, false)); // corrupt payload
         }
-        records.push(buf[start..end].to_vec());
+        visit(rec)?;
         pos = end;
     }
     // Trailing bytes smaller than a header are a torn header.
-    let clean = pos == buf.len();
-    (records, pos as u64, clean)
+    Ok((pos as u64, pos == buf.len()))
 }
 
 impl SegmentedLog {
@@ -250,13 +302,43 @@ impl SegmentedLog {
     /// segment is scanned in order, the valid record prefix is returned, the
     /// first corruption truncates its file in place, and segments after a
     /// corrupt one are deleted. The writer resumes at the end of the valid
-    /// prefix.
+    /// prefix. Collects an owned copy of each record that
+    /// [`SegmentedLog::open_with`] visits.
     pub fn open(
         dir: impl Into<PathBuf>,
         segment_bytes: u64,
         fsync: FsyncPolicy,
     ) -> Result<(SegmentedLog, Vec<Vec<u8>>, RecoveryInfo), WalError> {
-        let dir = dir.into();
+        let mut records = Vec::new();
+        let (log, info) = Self::open_with(dir, segment_bytes, fsync, |rec| {
+            records.push(rec.to_vec());
+            Ok(())
+        })?;
+        Ok((log, records, info))
+    }
+
+    /// [`SegmentedLog::open`], handing each recovered record to `visit` as a
+    /// slice of the segment just read instead of collecting copies. Records
+    /// come in log order, each exactly once, and only checksum-valid ones. An
+    /// error from `visit` aborts the open and is returned; the segment it
+    /// came from is left as it was, untruncated.
+    pub fn open_with(
+        dir: impl Into<PathBuf>,
+        segment_bytes: u64,
+        fsync: FsyncPolicy,
+        mut visit: impl FnMut(&[u8]) -> Result<(), WalError>,
+    ) -> Result<(SegmentedLog, RecoveryInfo), WalError> {
+        Self::recover(dir.into(), segment_bytes, fsync, &mut visit)
+    }
+
+    /// The body of [`SegmentedLog::open_with`], behind a `dyn` visitor so
+    /// recovery is compiled once, not once per caller's closure.
+    fn recover(
+        dir: PathBuf,
+        segment_bytes: u64,
+        fsync: FsyncPolicy,
+        visit: &mut dyn FnMut(&[u8]) -> Result<(), WalError>,
+    ) -> Result<(SegmentedLog, RecoveryInfo), WalError> {
         fs::create_dir_all(&dir).map_err(|e| WalError::io("create-dir", &dir, &e))?;
         let mut indices: Vec<u64> = Vec::new();
         let entries = fs::read_dir(&dir).map_err(|e| WalError::io("read-dir", &dir, &e))?;
@@ -274,11 +356,11 @@ impl SegmentedLog {
         }
         indices.sort_unstable();
 
-        let mut records = Vec::new();
         let mut info = RecoveryInfo::default();
         let mut last_index = 0u64;
         let mut last_len = 0u64;
         let mut corrupted = false;
+        let mut buf = Vec::new();
         for (k, &idx) in indices.iter().enumerate() {
             let path = segment_path(&dir, idx);
             if corrupted {
@@ -288,13 +370,14 @@ impl SegmentedLog {
                 info.dropped_segments += 1;
                 continue;
             }
-            let mut buf = Vec::new();
+            buf.clear();
             File::open(&path)
                 .and_then(|mut f| f.read_to_end(&mut buf))
                 .map_err(|e| WalError::io("read", &path, &e))?;
-            let (mut recs, valid_len, clean) = parse_frames(&buf);
-            info.records += recs.len() as u64;
-            records.append(&mut recs);
+            let (valid_len, clean) = scan_frames(&buf, &mut |rec| {
+                info.records += 1;
+                visit(rec)
+            })?;
             if !clean {
                 info.truncated_bytes += buf.len() as u64 - valid_len;
                 let f = OpenOptions::new()
@@ -333,7 +416,6 @@ impl SegmentedLog {
                 since_sync: 0,
                 buf: Vec::new(),
             },
-            records,
             info,
         ))
     }
@@ -370,18 +452,19 @@ impl SegmentedLog {
             self.buf[start + 4..start + FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
             framed += 1;
             self.since_sync += 1;
-            let sync_due = match self.fsync {
-                FsyncPolicy::Never => false,
-                FsyncPolicy::Always => true,
-                FsyncPolicy::EveryN(n) => self.since_sync >= n.max(1),
-            };
-            if sync_due {
-                self.flush().map_err(|e| (written, e))?;
-                written = framed;
-                self.sync().map_err(|e| (written, e))?;
+            if let FsyncPolicy::EveryN(n) = self.fsync {
+                if self.since_sync >= n.max(1) {
+                    self.flush().map_err(|e| (written, e))?;
+                    written = framed;
+                    self.sync().map_err(|e| (written, e))?;
+                }
             }
         }
-        self.flush().map_err(|e| (written, e))
+        self.flush().map_err(|e| (written, e))?;
+        if self.fsync == FsyncPolicy::Always && self.since_sync > 0 {
+            self.sync().map_err(|e| (framed, e))?;
+        }
+        Ok(())
     }
 
     /// Write the staged frames to the active segment in one `write_all`
@@ -400,6 +483,8 @@ impl SegmentedLog {
         self.cur
             .sync_data()
             .map_err(|e| WalError::io("sync", &segment_path(&self.dir, self.cur_index), &e))?;
+        #[cfg(test)]
+        tests::SYNCS.with(|n| n.set(n.get() + 1));
         self.since_sync = 0;
         Ok(())
     }
@@ -651,12 +736,193 @@ impl Drop for TempDir {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// `sync_data` calls made by [`SegmentedLog::sync`] on this thread.
+        pub(super) static SYNCS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Syncs issued on this thread while `f` runs.
+    fn syncs_during(f: impl FnOnce()) -> u64 {
+        let before = SYNCS.with(Cell::get);
+        f();
+        SYNCS.with(Cell::get) - before
+    }
+
+    /// The bytewise table CRC-32 the slicing-by-8 version replaced: the
+    /// oracle it must agree with.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {
         // IEEE CRC-32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Slicing-by-8 equals the bytewise oracle at every length up to
+        /// 4 KiB, starting anywhere in the buffer (not only word-aligned).
+        #[test]
+        fn crc32_equals_the_bytewise_oracle(
+            len in 0usize..=4096,
+            start in 0usize..16,
+            seed in any::<u64>(),
+        ) {
+            let mut x = seed | 1;
+            let buf: Vec<u8> = (0..start + len)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x as u8
+                })
+                .collect();
+            let bytes = &buf[start..];
+            prop_assert_eq!(crc32(bytes), crc32_bytewise(bytes));
+        }
+    }
+
+    #[test]
+    fn an_always_batch_syncs_once_per_segment_touched() {
+        let tmp = TempDir::new("always-syncs").unwrap();
+        let (mut log, _, _) = SegmentedLog::open(tmp.path(), 1 << 20, FsyncPolicy::Always).unwrap();
+        let n = syncs_during(|| {
+            log.append_batch([[3u8; 64]; 256], |p, buf| buf.extend_from_slice(&p))
+                .unwrap();
+        });
+        assert_eq!(n, 1, "256 records into one segment");
+        assert_eq!(log.segment_count(), 1);
+        let n = syncs_during(|| log.append_batch([[0u8; 0]; 0], |_, _| {}).unwrap());
+        assert_eq!(n, 0, "an empty batch acknowledges nothing");
+
+        let tmp = TempDir::new("always-syncs-roll").unwrap();
+        let (mut log, _, _) = SegmentedLog::open(tmp.path(), 4096, FsyncPolicy::Always).unwrap();
+        // Six 1 008-byte frames: the fifth crosses 4 KiB, the sixth rolls.
+        let n = syncs_during(|| {
+            log.append_batch([[1u8; 1000]; 6], |p, buf| buf.extend_from_slice(&p))
+                .unwrap();
+        });
+        assert_eq!(log.segment_count(), 2);
+        assert_eq!(n, 2, "the roll's sync plus the batch's own");
+        drop(log);
+        let (_, recovered, _) = SegmentedLog::open(tmp.path(), 4096, FsyncPolicy::Never).unwrap();
+        assert_eq!(recovered.len(), 6);
+    }
+
+    #[test]
+    fn every_n_and_never_keep_their_sync_points() {
+        let tmp = TempDir::new("every-n-syncs").unwrap();
+        let (mut log, _, _) =
+            SegmentedLog::open(tmp.path(), 1 << 20, FsyncPolicy::EveryN(4)).unwrap();
+        let n = syncs_during(|| {
+            log.append_batch([[5u8; 16]; 10], |p, buf| buf.extend_from_slice(&p))
+                .unwrap();
+        });
+        assert_eq!(n, 2, "after records 4 and 8");
+        let tmp = TempDir::new("never-syncs").unwrap();
+        let (mut log, _, _) = SegmentedLog::open(tmp.path(), 1 << 20, FsyncPolicy::Never).unwrap();
+        let n = syncs_during(|| {
+            log.append_batch([[5u8; 16]; 10], |p, buf| buf.extend_from_slice(&p))
+                .unwrap();
+        });
+        assert_eq!(n, 0);
+    }
+
+    /// Records `open_with` hands out, copied, and the log's recovery tally.
+    fn visited(dir: &Path) -> (Vec<Vec<u8>>, RecoveryInfo) {
+        let mut seen = Vec::new();
+        let (_, info) = SegmentedLog::open_with(dir, 4096, FsyncPolicy::Never, |rec| {
+            seen.push(rec.to_vec());
+            Ok(())
+        })
+        .unwrap();
+        (seen, info)
+    }
+
+    #[test]
+    fn open_with_visits_exactly_what_open_returns() {
+        let write = |label: &str| {
+            let tmp = TempDir::new(label).unwrap();
+            let (mut log, _, _) = SegmentedLog::open(tmp.path(), 4096, FsyncPolicy::Never).unwrap();
+            for i in 0..16u8 {
+                log.append(&[i; 700]).unwrap();
+            }
+            assert!(log.segment_count() >= 3);
+            tmp
+        };
+        let frame = FRAME_HEADER + 700;
+        // Clean, torn (last segment cut mid-frame) and corrupt (a payload
+        // byte flipped in the first segment, so later segments drop).
+        let clean = write("visit-clean");
+        let torn = write("visit-torn");
+        let last = fs::read_dir(torn.path()).unwrap().count() as u64 - 1;
+        let path = segment_path(torn.path(), last);
+        let f = OpenOptions::new().write(true).open(&path).unwrap();
+        let len = f.metadata().unwrap().len();
+        f.set_len(len - 3).unwrap();
+        drop(f);
+        let corrupt = write("visit-corrupt");
+        let path = segment_path(corrupt.path(), 0);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[frame + FRAME_HEADER + 9] ^= 0x40;
+        fs::write(&path, &bytes).unwrap();
+
+        for (tmp, expect) in [(&clean, 16), (&torn, 15), (&corrupt, 1)] {
+            let copy = TempDir::new("visit-copy").unwrap();
+            for e in fs::read_dir(tmp.path()).unwrap() {
+                let e = e.unwrap();
+                fs::copy(e.path(), copy.path().join(e.file_name())).unwrap();
+            }
+            let (seen, seen_info) = visited(tmp.path());
+            let (_, opened, opened_info) =
+                SegmentedLog::open(copy.path(), 4096, FsyncPolicy::Never).unwrap();
+            assert_eq!(seen.len(), expect);
+            assert_eq!(seen, opened);
+            assert_eq!(seen_info, opened_info);
+            assert_eq!(seen_info.records, expect as u64);
+            for (i, rec) in seen.iter().enumerate() {
+                assert_eq!(rec, &vec![i as u8; 700]);
+            }
+        }
+    }
+
+    #[test]
+    fn a_visit_error_aborts_the_open_and_leaves_the_file() {
+        let tmp = TempDir::new("visit-error").unwrap();
+        {
+            let (mut log, _, _) =
+                SegmentedLog::open(tmp.path(), 1 << 20, FsyncPolicy::Never).unwrap();
+            for i in 0..10u32 {
+                log.append(&i.to_le_bytes()).unwrap();
+            }
+        }
+        let path = segment_path(tmp.path(), 0);
+        let len = fs::metadata(&path).unwrap().len();
+        let mut calls = 0;
+        let err = SegmentedLog::open_with(tmp.path(), 1 << 20, FsyncPolicy::Never, |rec| {
+            calls += 1;
+            if rec == 4u32.to_le_bytes() {
+                Err(WalError::decode("test", "rejected"))
+            } else {
+                Ok(())
+            }
+        })
+        .err()
+        .unwrap();
+        assert_eq!((err.op, calls), ("decode", 5));
+        assert_eq!(fs::metadata(&path).unwrap().len(), len, "nothing truncated");
     }
 
     #[test]

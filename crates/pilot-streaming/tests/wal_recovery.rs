@@ -1,10 +1,11 @@
 //! Integration tests of the durable broker across full restart cycles:
 //! produce / consume / reopen chains, exactly-once resume over generations,
-//! compaction across restarts, fsync policies, failed segment rolls, and
-//! batched appends writing the same bytes as per-record ones.
+//! compaction across restarts, fsync policies, failed segment rolls,
+//! records that checksum but do not decode, and batched appends writing the
+//! same bytes as per-record ones.
 
 use pilot_streaming::wal::{crc32, SegmentedLog, TempDir};
-use pilot_streaming::{Broker, FsyncPolicy, Retention, WalConfig};
+use pilot_streaming::{Broker, BrokerError, FsyncPolicy, Retention, WalConfig};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::path::Path;
@@ -241,6 +242,43 @@ fn failed_roll_mid_batch_leaves_memory_equal_to_the_wal_prefix() {
         live,
         "memory == WAL prefix"
     );
+}
+
+/// A partition record whose checksum passes but which does not decode (a
+/// format mismatch, not corruption) fails the open with the decoder's
+/// `WalError` instead of being truncated away: the file keeps every byte.
+#[test]
+fn a_checksummed_record_that_does_not_decode_fails_the_open_untruncated() {
+    let dir = TempDir::new("undecodable").unwrap();
+    let cfg = WalConfig::new(dir.path()).with_fsync(FsyncPolicy::Never);
+    {
+        let broker = Broker::open(cfg.clone()).unwrap();
+        broker
+            .create_topic_with("t", 1, Retention::Count(1_000))
+            .unwrap();
+        broker
+            .produce_batch("t", (0..5u64).map(|i| (None, payload(0, i))))
+            .unwrap();
+    }
+    // offset 5, key flag 2 (neither 0 nor 1), enqueued_s, payload.
+    let mut rec = 5u64.to_le_bytes().to_vec();
+    rec.push(2);
+    rec.extend_from_slice(&0f64.to_bits().to_le_bytes());
+    rec.extend_from_slice(b"payload");
+    let seg = dir.path().join("topics/t/0/seg-0000000000.log");
+    let mut bytes = std::fs::read(&seg).unwrap();
+    bytes.extend_from_slice(&(rec.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&crc32(&rec).to_le_bytes());
+    bytes.extend_from_slice(&rec);
+    std::fs::write(&seg, &bytes).unwrap();
+
+    let err = match Broker::open(cfg) {
+        Err(BrokerError::Wal(e)) => e,
+        Err(other) => panic!("expected a WAL decode error, got {other:?}"),
+        Ok(_) => panic!("an undecodable record must fail the open"),
+    };
+    assert_eq!((err.op, err.detail.as_str()), ("decode", "bad key flag"));
+    assert_eq!(std::fs::read(&seg).unwrap(), bytes, "the file is untouched");
 }
 
 /// Every segment file of a log directory: `(name, bytes)`, sorted by name.
