@@ -6,9 +6,9 @@
 //! topic*. Materializers (the `pilot-query` crate) consume those topics into
 //! query-optimized tables so that status reads never touch the owner's locks.
 //!
-//! The schema lives here, in `pilot-core`, because both producers (the thread
-//! backend, the fabric controller) and the transport-facing sink
-//! implementations depend on it; `pilot-streaming` depends on `pilot-core`,
+//! The schema lives here, in `pilot-core`, because its producers (the thread
+//! backend, the fabric controller, the DES backend) and the transport-facing
+//! sink implementations depend on it; `pilot-streaming` depends on `pilot-core`,
 //! so the broker-backed sink itself lives downstream in `pilot-query`.
 //!
 //! Events carry a compact, versionless binary encoding ([`ProjEvent::encode`]
@@ -26,7 +26,8 @@ use crate::state::{PilotState, UnitState};
 
 /// One read-plane event. Timestamps (`t_s`) are in the producer's own
 /// timebase: wall-clock seconds since service start for the thread backend,
-/// `tick * tick_s` virtual seconds for the fabric controller.
+/// `tick * tick_s` virtual seconds for the fabric controller, virtual
+/// seconds for the DES backend.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ProjEvent {
     /// A pilot entered `state` at `t_s`.

@@ -11,6 +11,7 @@
 
 use crate::binding::{self, BindStats, PendingQueue};
 use crate::describe::{PilotDescription, UnitDescription};
+use crate::events::ProjEvent;
 use crate::ids::{IdGen, PilotId, UnitId};
 use crate::metrics::{self, PilotTimes, UnitRecord, UnitTimes};
 use crate::retry::{streams, FailureTracker, FaultPlan, ReliabilityStats};
@@ -20,7 +21,7 @@ use pilot_infra::component::{Component, Effects};
 use pilot_infra::network::NetworkModel;
 use pilot_infra::types::{JobId, JobOutcome, SiteId};
 use pilot_saga::{JobDescription, ResourceAdaptor, SagaIn, SagaOut};
-use pilot_sim::{Dist, Executor, Machine, Outbox, SimDuration, SimRng, SimTime, TraceLog};
+use pilot_sim::{Dist, Executor, Machine, Outbox, SimDuration, SimRng, SimTime};
 use std::collections::HashMap;
 
 /// Rule for runtime scale-out (the paper's R3 dynamism requirement, \[63\]):
@@ -62,8 +63,9 @@ pub struct SimReport {
     pub units: Vec<UnitRecord>,
     /// Per-pilot records.
     pub pilots: Vec<SimPilotRecord>,
-    /// Structured trace (state transitions).
-    pub trace: TraceLog,
+    /// Every unit and pilot transition, in order, as the read plane's
+    /// events (empty when emission was switched off).
+    pub events: Vec<ProjEvent>,
     /// Virtual time when the run stopped.
     pub end_time: SimTime,
     /// Reliability counters (attempts, requeues, wasted work, recovery).
@@ -172,6 +174,51 @@ struct SimUnitRt {
     failed_at: Option<f64>,
 }
 
+/// The machine's transitions as [`ProjEvent`]s, in the order they happen;
+/// `None` once emission is switched off. A field of its own so a transition
+/// can be recorded while the unit or pilot it moves is borrowed.
+struct Events(Option<Vec<ProjEvent>>);
+
+impl Events {
+    /// The one emit path: the on/off switch is checked here only.
+    fn push(&mut self, ev: ProjEvent) {
+        if let Some(events) = &mut self.0 {
+            events.push(ev);
+        }
+    }
+
+    /// Advance a unit to `next` and record it, on the unit's current pilot.
+    fn unit(&mut self, now: SimTime, unit: UnitId, u: &mut SimUnitRt, next: UnitState) {
+        UnitState::advance(&mut u.state, next);
+        self.push(ProjEvent::Unit {
+            unit,
+            state: next,
+            pilot: u.pilot,
+            t_s: now.as_secs_f64(),
+        });
+    }
+
+    /// Advance a pilot to `next` and record it.
+    fn pilot(&mut self, now: SimTime, pilot: PilotId, p: &mut SimPilotRt, next: PilotState) {
+        PilotState::advance(&mut p.state, next);
+        self.push(ProjEvent::Pilot {
+            pilot,
+            state: next,
+            t_s: now.as_secs_f64(),
+        });
+    }
+
+    /// Record a pilot's current `capacity` and `used`.
+    fn capacity(&mut self, now: SimTime, pilot: PilotId, p: &SimPilotRt) {
+        self.push(ProjEvent::PilotCapacity {
+            pilot,
+            free_cores: p.capacity.saturating_sub(p.used),
+            total_cores: p.capacity,
+            t_s: now.as_secs_f64(),
+        });
+    }
+}
+
 struct SystemMachine {
     adaptors: Vec<ResourceAdaptor>,
     scheduler: Box<dyn Scheduler>,
@@ -186,8 +233,7 @@ struct SystemMachine {
     next_job: u64,
     policy: Option<ScaleOutPolicy>,
     policy_extra_submitted: u32,
-    trace: TraceLog,
-    ids_hint: u64,
+    events: Events,
     faults: FaultPlan,
     tracker: FailureTracker,
     rel: ReliabilityStats,
@@ -212,11 +258,7 @@ impl SystemMachine {
 
     fn on_saga_out(&mut self, now: SimTime, site: usize, o: SagaOut, out: &mut Outbox<Ev>) {
         match o {
-            SagaOut::Queued { job } => {
-                if let Some(&pid) = self.job_owner.get(&(site, job)) {
-                    self.trace.mark(now, "pilot.queued", pid.0);
-                }
-            }
+            SagaOut::Queued { .. } => {}
             SagaOut::CapacityUp { job, total, .. } => {
                 let Some(&pid) = self.job_owner.get(&(site, job)) else {
                     return;
@@ -227,9 +269,8 @@ impl SystemMachine {
                 };
                 p.capacity = total;
                 if p.state == PilotState::Pending {
-                    PilotState::advance(&mut p.state, PilotState::Active);
                     p.times.active = Some(Self::now_s(now));
-                    self.trace.mark(now, "pilot.active", pid.0);
+                    self.events.pilot(now, pid, p, PilotState::Active);
                     // Arm the injected crash clock for this pilot: one
                     // exponential draw from a stream keyed by pilot id, so
                     // replays with the same seed crash at the same instants.
@@ -241,7 +282,8 @@ impl SystemMachine {
                         out.after(SimDuration::from_secs_f64(ttf), Ev::PilotCrash(pid));
                     }
                 }
-                self.schedule(now, out);
+                self.events.capacity(now, pid, p);
+                self.schedule(out);
             }
             SagaOut::CapacityDown { job, total, .. } => {
                 let Some(&pid) = self.job_owner.get(&(site, job)) else {
@@ -252,8 +294,7 @@ impl SystemMachine {
                     return;
                 };
                 p.capacity = total;
-                self.trace.mark(now, "pilot.capacity_down", pid.0);
-                self.reclaim_overcommit(now, pid, out);
+                self.reclaim_overcommit(now, pid);
             }
             SagaOut::Done { job, outcome } => {
                 let Some(&pid) = self.job_owner.get(&(site, job)) else {
@@ -271,48 +312,49 @@ impl SystemMachine {
                     JobOutcome::Canceled => PilotState::Canceled,
                     JobOutcome::Failed | JobOutcome::Rejected => PilotState::Failed,
                 };
-                if PilotState::try_advance(&mut p.state, target).is_err() {
-                    // A pilot whose job ends before it ever activated did no
-                    // work: it ends `Canceled` (`Pending -> Done` is not an
-                    // edge in the P* machine).
-                    PilotState::advance(&mut p.state, PilotState::Canceled);
-                }
+                // A pilot whose job ends before it ever activated did no
+                // work: it ends `Canceled` (`Pending -> Done` is not an edge
+                // in the P* machine).
+                let target = if p.state.can_transition_to(target) {
+                    target
+                } else {
+                    PilotState::Canceled
+                };
                 p.capacity = 0;
                 p.times.finished = Some(Self::now_s(now));
-                self.trace
-                    .record(now, "pilot.done", pid.0, format!("{outcome}"));
+                self.events.pilot(now, pid, p, target);
                 self.requeue_bound_units(now, pid);
-                self.schedule(now, out);
+                self.schedule(out);
             }
         }
     }
 
     /// After capacity loss, requeue the most recently started units until the
-    /// pilot fits its remaining capacity (work on lost slots is lost).
-    fn reclaim_overcommit(&mut self, now: SimTime, pid: PilotId, _out: &mut Outbox<Ev>) {
+    /// pilot fits its remaining capacity (work on lost slots is lost), then
+    /// record the pilot's new capacity.
+    fn reclaim_overcommit(&mut self, now: SimTime, pid: PilotId) {
         let p = &self.pilots[&pid];
-        if p.used <= p.capacity {
-            return;
-        }
-        let mut victims: Vec<(f64, UnitId)> = self
-            .units
-            .iter()
-            .filter(|(_, u)| {
-                u.pilot == Some(pid) && !u.state.is_terminal() && u.state != UnitState::Pending
-            })
-            .map(|(&id, u)| (u.times.started.unwrap_or(f64::MAX), id))
-            .collect();
-        victims.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1 .0.cmp(&b.1 .0)));
-        let mut used = p.used;
-        let capacity = p.capacity;
-        for (_, uid) in victims {
-            if used <= capacity {
-                break;
+        let (mut used, capacity) = (p.used, p.capacity);
+        if used > capacity {
+            let mut victims: Vec<(f64, UnitId)> = self
+                .units
+                .iter()
+                .filter(|(_, u)| {
+                    u.pilot == Some(pid) && !u.state.is_terminal() && u.state != UnitState::Pending
+                })
+                .map(|(&id, u)| (u.times.started.unwrap_or(f64::MAX), id))
+                .collect();
+            victims.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1 .0.cmp(&b.1 .0)));
+            for (_, uid) in victims {
+                if used <= capacity {
+                    break;
+                }
+                used -= self.requeue_unit(now, uid);
             }
-            used -= self.requeue_unit(now, uid);
         }
         if let Some(p) = self.pilots.get_mut(&pid) {
             p.used = used;
+            self.events.capacity(now, pid, p);
         }
     }
 
@@ -334,6 +376,7 @@ impl SystemMachine {
         }
         if let Some(p) = self.pilots.get_mut(&pid) {
             p.used = 0;
+            self.events.capacity(now, pid, p);
         }
     }
 
@@ -351,23 +394,22 @@ impl SystemMachine {
             // The in-flight attempt dies with its resource; the machine has
             // no `Running -> Pending` edge, so the planned rebind routes
             // through `Failed`. The retry budget is deliberately not charged.
-            UnitState::advance(&mut u.state, UnitState::Failed);
+            self.events.unit(now, uid, u, UnitState::Failed);
         }
-        UnitState::advance(&mut u.state, UnitState::Pending);
         u.pilot = None;
+        self.events.unit(now, uid, u, UnitState::Pending);
         u.generation += 1;
         u.times.bound = None;
         u.times.started = None;
         self.pending.push(uid, u.desc.priority, u.desc.cores);
         self.rel.rebinds += 1;
-        self.trace.mark(now, "cu.requeued", uid.0);
         u.desc.cores
     }
 
     /// One execution/staging attempt failed. Charges the retry budget and
     /// either re-enters the late-binding queue (after backoff) or fails the
     /// unit terminally once the budget is exhausted.
-    fn fail_attempt(&mut self, now: SimTime, uid: UnitId, reason: &str, out: &mut Outbox<Ev>) {
+    fn fail_attempt(&mut self, now: SimTime, uid: UnitId, out: &mut Outbox<Ev>) {
         let now_s = Self::now_s(now);
         let (pid, cores, retry, attempts) = {
             let Some(u) = self.units.get_mut(&uid) else {
@@ -379,18 +421,16 @@ impl SystemMachine {
             }
             u.generation += 1;
             u.attempts += 1;
-            UnitState::advance(&mut u.state, UnitState::Failed);
+            self.events.unit(now, uid, u, UnitState::Failed);
             (u.pilot, u.desc.cores, u.desc.retry, u.attempts)
         };
-        self.trace
-            .record(now, "cu.failed", uid.0, reason.to_string());
         if let Some(pid) = pid {
             if let Some(p) = self.pilots.get_mut(&pid) {
                 p.used = p.used.saturating_sub(cores);
+                self.events.capacity(now, pid, p);
             }
             if self.tracker.record_failure(pid) {
                 self.rel.blacklisted_pilots += 1;
-                self.trace.mark(now, "pilot.blacklisted", pid.0);
             }
         }
         let Some(u) = self.units.get_mut(&uid) else {
@@ -414,16 +454,15 @@ impl SystemMachine {
         } else {
             u.times.finished = Some(now_s);
             self.rel.exhausted_units += 1;
-            self.trace.mark(now, "cu.exhausted", uid.0);
         }
         // Either way cores were released; other pending units may now fit.
-        self.schedule(now, out);
+        self.schedule(out);
     }
 
     /// Request a late-binding pass. Posts one `BindPass` event for the
     /// current instant; every capacity change arriving before it fires is
     /// covered by the same pass (dirty-flag wakeup).
-    fn schedule(&mut self, _now: SimTime, out: &mut Outbox<Ev>) {
+    fn schedule(&mut self, out: &mut Outbox<Ev>) {
         if !self.sched_dirty {
             self.sched_dirty = true;
             out.immediately(Ev::BindPass);
@@ -512,11 +551,12 @@ impl SystemMachine {
                 "scheduler over-committed pilot {pid}"
             );
             p.used += u.desc.cores;
+            self.events.capacity(now, pid, p);
             // Sim units pass through `Assigned` instantaneously: binding and
             // stage-in begin at the same virtual instant.
-            UnitState::advance(&mut u.state, UnitState::Assigned);
-            UnitState::advance(&mut u.state, UnitState::Staging);
             u.pilot = Some(pid);
+            self.events.unit(now, uid, u, UnitState::Assigned);
+            self.events.unit(now, uid, u, UnitState::Staging);
             u.times.bound = Some(Self::now_s(now));
             // A rebind after a failure completes a recovery.
             if let Some(f) = u.failed_at.take() {
@@ -524,7 +564,6 @@ impl SystemMachine {
                 self.rel.recoveries += 1;
             }
         }
-        self.trace.record(now, "cu.bound", uid.0, format!("{pid}"));
         // Stage-in: sequentially transfer every non-local input from its
         // first replica site (conservative; parallel staging would take the
         // max instead).
@@ -572,7 +611,13 @@ impl Machine for SystemMachine {
                     p.times.submitted = Self::now_s(now);
                     (p.site, p.job, p.desc.clone())
                 };
-                self.trace.mark(now, "pilot.submitted", pid.0);
+                // Not an `advance`: the pilot has been `Pending` since it was
+                // registered, and this is when it is submitted.
+                self.events.push(ProjEvent::Pilot {
+                    pilot: pid,
+                    state: PilotState::Pending,
+                    t_s: Self::now_s(now),
+                });
                 self.feed_adaptor(
                     now,
                     site,
@@ -588,11 +633,10 @@ impl Machine for SystemMachine {
                     debug_assert!(false, "submit event for unknown unit {uid}");
                     return;
                 };
-                UnitState::advance(&mut u.state, UnitState::Pending);
+                self.events.unit(now, uid, u, UnitState::Pending);
                 u.times.submitted = Self::now_s(now);
                 self.pending.push(uid, u.desc.priority, u.desc.cores);
-                self.trace.mark(now, "cu.submitted", uid.0);
-                self.schedule(now, out);
+                self.schedule(out);
             }
             Ev::CancelPilot(pid) => {
                 let Some(p) = self.pilots.get(&pid) else {
@@ -608,15 +652,12 @@ impl Machine for SystemMachine {
                 if u.generation != gen || u.state != UnitState::Staging {
                     return;
                 }
-                UnitState::advance(&mut u.state, UnitState::Running);
+                self.events.unit(now, uid, u, UnitState::Running);
                 u.times.started = Some(Self::now_s(now));
-                let d = self.rng.stream(uid.0).f64_range(0.0, 1.0);
                 // Sample duration deterministically per (unit, attempt).
                 let mut dur_rng = self.rng.stream(uid.0 ^ (u.attempts as u64) << 48);
-                let _ = d;
                 let dur = u.duration.sample(&mut dur_rng).max(0.0);
                 self.rel.attempts += 1;
-                self.trace.mark(now, "cu.running", uid.0);
                 // The attempt's outcome is decided up front: the earliest of
                 // injected kernel fault, deadline expiry, and normal finish.
                 let mut fault_rng =
@@ -651,8 +692,14 @@ impl Machine for SystemMachine {
                 if u.generation != gen || u.state != UnitState::Running {
                     return;
                 }
-                UnitState::advance(&mut u.state, UnitState::Done);
+                self.events.unit(now, uid, u, UnitState::Done);
                 u.times.finished = Some(Self::now_s(now));
+                self.events.push(ProjEvent::UnitMetric {
+                    unit: uid,
+                    wait_s: u.times.wait().unwrap_or(0.0),
+                    exec_s: u.times.execution().unwrap_or(0.0),
+                    t_s: Self::now_s(now),
+                });
                 let Some(pid) = u.pilot else {
                     debug_assert!(false, "running unit {uid} has no pilot");
                     return;
@@ -660,10 +707,10 @@ impl Machine for SystemMachine {
                 let cores = u.desc.cores;
                 if let Some(p) = self.pilots.get_mut(&pid) {
                     p.used = p.used.saturating_sub(cores);
+                    self.events.capacity(now, pid, p);
                 }
                 self.tracker.record_success(pid);
-                self.trace.mark(now, "cu.done", uid.0);
-                self.schedule(now, out);
+                self.schedule(out);
             }
             Ev::UnitFail(uid, gen, kind) => {
                 let Some(u) = self.units.get(&uid) else {
@@ -672,17 +719,11 @@ impl Machine for SystemMachine {
                 if u.generation != gen || u.state != UnitState::Running {
                     return;
                 }
-                let reason = match kind {
-                    FailKind::Fault => {
-                        self.rel.injected_unit_faults += 1;
-                        "injected fault"
-                    }
-                    FailKind::Deadline => {
-                        self.rel.deadline_expirations += 1;
-                        "deadline exceeded"
-                    }
-                };
-                self.fail_attempt(now, uid, reason, out);
+                match kind {
+                    FailKind::Fault => self.rel.injected_unit_faults += 1,
+                    FailKind::Deadline => self.rel.deadline_expirations += 1,
+                }
+                self.fail_attempt(now, uid, out);
             }
             Ev::StagingFail(uid, gen) => {
                 let Some(u) = self.units.get(&uid) else {
@@ -692,7 +733,7 @@ impl Machine for SystemMachine {
                     return;
                 }
                 self.rel.injected_staging_faults += 1;
-                self.fail_attempt(now, uid, "staging fault", out);
+                self.fail_attempt(now, uid, out);
             }
             Ev::RetryRelease(uid, gen) => {
                 let Some(u) = self.units.get_mut(&uid) else {
@@ -702,10 +743,9 @@ impl Machine for SystemMachine {
                     return;
                 }
                 // The retry edge: Failed → Pending, back into late binding.
-                UnitState::advance(&mut u.state, UnitState::Pending);
+                self.events.unit(now, uid, u, UnitState::Pending);
                 self.pending.push(uid, u.desc.priority, u.desc.cores);
-                self.trace.mark(now, "cu.retry", uid.0);
-                self.schedule(now, out);
+                self.schedule(out);
             }
             Ev::PilotCrash(pid) => {
                 let Some(p) = self.pilots.get_mut(&pid) else {
@@ -714,13 +754,13 @@ impl Machine for SystemMachine {
                 if p.state != PilotState::Active {
                     return;
                 }
-                PilotState::advance(&mut p.state, PilotState::Failed);
+                self.events.pilot(now, pid, p, PilotState::Failed);
                 p.capacity = 0;
                 p.used = 0;
+                self.events.capacity(now, pid, p);
                 p.times.finished = Some(Self::now_s(now));
                 let (site, job) = (p.site, p.job);
                 self.rel.pilot_crashes += 1;
-                self.trace.mark(now, "pilot.crashed", pid.0);
                 // Release the placeholder job on the infrastructure.
                 self.feed_adaptor(now, site, SagaIn::Cancel(job), out);
                 // Units that were executing lose their attempt (retry budget
@@ -740,12 +780,12 @@ impl Machine for SystemMachine {
                 bound.sort_by_key(|(u, _)| u.0);
                 for (uid, state) in bound {
                     if state == UnitState::Running {
-                        self.fail_attempt(now, uid, "pilot crash", out);
+                        self.fail_attempt(now, uid, out);
                     } else {
                         self.requeue_unit(now, uid);
                     }
                 }
-                self.schedule(now, out);
+                self.schedule(out);
             }
             Ev::BindPass => {
                 self.sched_dirty = false;
@@ -778,13 +818,11 @@ impl Machine for SystemMachine {
                         },
                     );
                     self.job_owner.insert((site, job), pid);
-                    self.trace.mark(now, "policy.scale_out", pid.0);
                     out.immediately(Ev::SubmitPilot(pid));
                 }
                 out.after(policy.check_every, Ev::PolicyTick);
             }
         }
-        let _ = self.ids_hint;
     }
 }
 
@@ -810,8 +848,7 @@ impl SimPilotSystem {
             next_job: 1,
             policy: None,
             policy_extra_submitted: 0,
-            trace: TraceLog::new(),
-            ids_hint: 0,
+            events: Events(Some(Vec::new())),
             faults: FaultPlan::none(),
             tracker: FailureTracker::new(None),
             rel: ReliabilityStats::default(),
@@ -836,10 +873,9 @@ impl SimPilotSystem {
         // Keep the network's site table in step with adaptor indices.
         let names: Vec<String> = (0..m.adaptors.len()).map(|i| format!("site-{i}")).collect();
         let name_refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
-        let old = std::mem::replace(&mut m.network, NetworkModel::new(&name_refs));
-        // Preserve nothing from the default; custom networks are set after
-        // all resources are added via `set_network`.
-        drop(old);
+        // Custom networks are set after all resources are added, via
+        // `set_network`.
+        m.network = NetworkModel::new(&name_refs);
         SiteId(site as u16)
     }
 
@@ -860,9 +896,10 @@ impl SimPilotSystem {
         self.exec.schedule_at(SimTime::ZERO + every, Ev::PolicyTick);
     }
 
-    /// Disable tracing (large sweeps).
+    /// Switch event emission off (large sweeps): the report's `events`
+    /// stay empty.
     pub fn disable_trace(&mut self) {
-        self.exec.machine_mut().trace = TraceLog::disabled();
+        self.exec.machine_mut().events = Events(None);
     }
 
     /// Install a deterministic fault-injection plan. All fault draws come
@@ -964,7 +1001,7 @@ impl SimPilotSystem {
         SimReport {
             units,
             pilots,
-            trace: m.trace,
+            events: m.events.0.unwrap_or_default(),
             end_time,
             reliability: m.rel,
             bind: m.stats,
@@ -1024,7 +1061,7 @@ mod tests {
                 );
             }
             let r = sys.run(SimTime::from_hours(8));
-            (r.makespan(), r.throughput(), r.trace.len())
+            (r.makespan(), r.throughput(), r.events)
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7).0, run(8).0, "different seeds, different durations");
@@ -1064,12 +1101,24 @@ mod tests {
         );
         let u = sys.submit_unit_fixed(SimTime::ZERO, UnitDescription::new(1), 120.0);
         let report = sys.run(SimTime::from_hours(2));
+        // A requeue of a running unit is `Running -> Failed -> Pending`.
+        let states: Vec<UnitState> = report
+            .events
+            .iter()
+            .filter_map(|e| match *e {
+                ProjEvent::Unit { unit, state, .. } if unit == u => Some(state),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            states
+                .windows(3)
+                .any(|w| w == [UnitState::Running, UnitState::Failed, UnitState::Pending]),
+            "unit must be requeued when pilot 1 expires: {states:?}"
+        );
+        assert_eq!(report.reliability.rebinds, 1);
         let rec = report.units.iter().find(|r| r.unit == u).unwrap();
         assert_eq!(rec.state, UnitState::Done);
-        assert!(
-            report.trace.of_kind("cu.requeued").count() >= 1,
-            "unit must be requeued when pilot 1 expires"
-        );
         // It finished on the second pilot, well after 200 s.
         assert!(rec.times.finished.unwrap() >= 320.0);
     }
@@ -1206,9 +1255,23 @@ mod tests {
         }
         let report = sys.run(SimTime::from_hours(6));
         assert_eq!(report.count(UnitState::Done), 100);
+        // One pilot is submitted at a policy check, after the start.
+        let late: Vec<PilotId> = report
+            .events
+            .iter()
+            .filter_map(|e| match *e {
+                ProjEvent::Pilot {
+                    pilot,
+                    state: PilotState::Pending,
+                    t_s,
+                } if t_s > 0.0 => Some(pilot),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(late.len(), 1, "scale-out submits one pilot: {late:?}");
         assert_eq!(report.pilots.len(), 2, "policy must add one pilot");
-        assert!(report.trace.of_kind("policy.scale_out").count() == 1);
         let burst = report.pilots.iter().find(|p| p.label == "burst").unwrap();
+        assert_eq!(burst.pilot, late[0]);
         assert_eq!(burst.site, cloud);
         // With 64 extra cores the backlog drains far faster than 100×120/4 s.
         assert!(report.makespan() < 1500.0, "makespan {}", report.makespan());
@@ -1370,48 +1433,147 @@ mod tests {
             );
         }
         let report = sys.run(SimTime::from_hours(1));
+        // After its third failure the pilot takes no more units, though
+        // released retries keep coming back to `Pending`.
+        let unit_events = || {
+            report.events.iter().filter_map(|e| match *e {
+                ProjEvent::Unit { state, t_s, .. } => Some((state, t_s)),
+                _ => None,
+            })
+        };
+        let third_failure = unit_events()
+            .filter(|(s, _)| *s == UnitState::Failed)
+            .nth(2)
+            .map(|(_, t)| t)
+            .unwrap();
+        let after = |state| {
+            unit_events()
+                .filter(|&(s, t)| s == state && t > third_failure)
+                .count()
+        };
+        assert_eq!(after(UnitState::Assigned), 0, "a blacklisted pilot binds");
+        assert!(after(UnitState::Pending) > 0);
         assert_eq!(report.reliability.blacklisted_pilots, 1);
-        assert!(
-            report.trace.of_kind("pilot.blacklisted").count() == 1,
-            "blacklisting is traced"
-        );
         // Every unit fails with p=1 and the only pilot is blacklisted, so no
         // unit can complete.
         assert_eq!(report.count(UnitState::Done), 0);
     }
 
+    /// Unit faults, pilot crashes and staging faults at once, on a fixed seed.
+    fn fault_replay_run() -> SimReport {
+        let mut sys = SimPilotSystem::new(77);
+        let site = sys.add_resource(quiet_hpc(32));
+        sys.set_fault_plan(
+            FaultPlan::none()
+                .with_unit_failures(0.3)
+                .with_pilot_crashes(300.0)
+                .with_staging_failures(0.1),
+        );
+        for i in 0..4 {
+            sys.submit_pilot(
+                SimTime::from_secs(i * 60),
+                site,
+                PilotDescription::new(8, SimDuration::from_hours(2)),
+            );
+        }
+        for i in 0..32 {
+            sys.submit_unit(
+                SimTime::from_secs(i),
+                UnitDescription::new(1).with_retry(
+                    crate::retry::RetryPolicy::exponential(6, 0.5, 2.0, 30.0).with_jitter(0.3),
+                ),
+                Dist::exponential(40.0),
+            );
+        }
+        sys.run(SimTime::from_hours(6))
+    }
+
+    /// FNV-1a over a run's outcome: every unit's state, pilot and times, the
+    /// reliability counters and the binding counters (floats by their bits).
+    fn outcome_digest(r: &SimReport) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |w: u64| {
+            for b in w.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        let opt = |x: Option<f64>| x.map_or(u64::MAX, f64::to_bits);
+        for u in &r.units {
+            mix(u.unit.0);
+            mix(u64::from(crate::events::unit_state_code(u.state)));
+            mix(u.pilot.map_or(u64::MAX, |p| p.0));
+            mix(u.times.submitted.to_bits());
+            mix(opt(u.times.bound));
+            mix(opt(u.times.started));
+            mix(opt(u.times.finished));
+        }
+        let ReliabilityStats {
+            attempts,
+            requeues,
+            rebinds,
+            injected_unit_faults,
+            injected_staging_faults,
+            pilot_crashes,
+            exhausted_units,
+            deadline_expirations,
+            blacklisted_pilots,
+            wasted_work_s,
+            recovery_s,
+            recoveries,
+            broker_node_kills,
+            leader_failovers,
+            fenced_appends,
+        } = r.reliability;
+        for w in [
+            attempts,
+            requeues,
+            rebinds,
+            injected_unit_faults,
+            injected_staging_faults,
+            pilot_crashes,
+            exhausted_units,
+            deadline_expirations,
+            blacklisted_pilots,
+            wasted_work_s.to_bits(),
+            recovery_s.to_bits(),
+            recoveries,
+            broker_node_kills,
+            leader_failovers,
+            fenced_appends,
+        ] {
+            mix(w);
+        }
+        let BindStats {
+            passes,
+            snapshot_builds,
+            candidate_comparisons,
+            binds,
+            max_binds_per_pass,
+        } = r.bind;
+        for w in [
+            passes,
+            snapshot_builds,
+            candidate_comparisons,
+            binds,
+            max_binds_per_pass,
+        ] {
+            mix(w);
+        }
+        h
+    }
+
+    #[test]
+    fn fault_injection_outcome_is_pinned() {
+        // Recording the transitions as events must not move a single
+        // draw, bind or timestamp of the run.
+        assert_eq!(outcome_digest(&fault_replay_run()), 0x86b8_5a43_9b75_136d);
+    }
+
     #[test]
     fn fault_injection_replays_byte_identically() {
-        let run = || {
-            let mut sys = SimPilotSystem::new(77);
-            let site = sys.add_resource(quiet_hpc(32));
-            sys.set_fault_plan(
-                FaultPlan::none()
-                    .with_unit_failures(0.3)
-                    .with_pilot_crashes(300.0)
-                    .with_staging_failures(0.1),
-            );
-            for i in 0..4 {
-                sys.submit_pilot(
-                    SimTime::from_secs(i * 60),
-                    site,
-                    PilotDescription::new(8, SimDuration::from_hours(2)),
-                );
-            }
-            for i in 0..32 {
-                sys.submit_unit(
-                    SimTime::from_secs(i),
-                    UnitDescription::new(1).with_retry(
-                        crate::retry::RetryPolicy::exponential(6, 0.5, 2.0, 30.0).with_jitter(0.3),
-                    ),
-                    Dist::exponential(40.0),
-                );
-            }
-            sys.run(SimTime::from_hours(6))
-        };
-        let (a, b) = (run(), run());
+        let (a, b) = (fault_replay_run(), fault_replay_run());
+        assert!(a.events == b.events, "identical transitions");
         assert_eq!(a.reliability, b.reliability, "identical fault schedule");
-        assert_eq!(a.trace.len(), b.trace.len());
         for (ua, ub) in a.units.iter().zip(b.units.iter()) {
             assert_eq!(ua.unit, ub.unit);
             assert_eq!(ua.state, ub.state);

@@ -13,17 +13,46 @@ use pilot_sim::SimDuration;
 use std::fs;
 use std::time::{Duration, Instant};
 
-/// Thread ids of every thread named `pilot-manager`. Threads spawned without
-/// a name inherit their spawner's, so a manager's helper threads count too.
-fn manager_threads() -> Vec<String> {
+/// `(tid, name)` of every thread in this process.
+fn threads() -> Vec<(String, String)> {
     fs::read_dir("/proc/self/task")
         .unwrap()
         .filter_map(|entry| {
             let tid = entry.ok()?.file_name().into_string().ok()?;
             let comm = fs::read_to_string(format!("/proc/self/task/{tid}/comm")).ok()?;
-            (comm.trim_end() == "pilot-manager").then_some(tid)
+            Some((tid, comm.trim_end().to_string()))
         })
         .collect()
+}
+
+/// Thread ids of every thread named `pilot-manager`. Threads spawned without
+/// a name inherit their spawner's, so a manager's helper threads count too.
+fn manager_threads() -> Vec<String> {
+    threads()
+        .into_iter()
+        .filter_map(|(tid, name)| (name == "pilot-manager").then_some(tid))
+        .collect()
+}
+
+/// Wait, with a bound, until `n` threads carry a name starting with
+/// `prefix`. A spawned thread sets its own name once it runs; until then it
+/// shows its spawner's, so a pilot worker the manager just spawned reads as a
+/// second `pilot-manager`.
+fn wait_named(prefix: &str, n: usize) {
+    let t0 = Instant::now();
+    while threads()
+        .iter()
+        .filter(|(_, name)| name.starts_with(prefix))
+        .count()
+        < n
+    {
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "{n} threads named {prefix}* never appeared: {:?}",
+            threads()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// How many times the thread has blocked and been woken so far.
@@ -41,6 +70,7 @@ fn manager_parks_when_idle_and_arms_timers_without_threads() {
     let s = ThreadPilotService::new(Box::new(FirstFitScheduler));
     let p = s.submit_pilot(PilotDescription::new(1, SimDuration::MAX));
     assert!(s.wait_pilot_active(p));
+    wait_named(&format!("{p}-w"), 1);
     let mgr = manager_threads();
     assert_eq!(mgr.len(), 1, "one service, one manager thread: {mgr:?}");
 

@@ -10,8 +10,9 @@
 //! emitting future events through an [`Outbox`]. This keeps models pure,
 //! deterministic, and unit-testable without an event loop. The [`Executor`]
 //! drives a machine through virtual time with a stable tie-break order
-//! (time, then insertion sequence), so a given seed always yields an identical
-//! trace — the reproducibility property the paper's Mini-App framework demands.
+//! (time, then insertion sequence), so a given seed always yields the same
+//! sequence of handled events — the reproducibility property the paper's
+//! Mini-App framework demands.
 //!
 //! ## Example: a deterministic M/M/1-ish queue in 20 lines
 //!
@@ -55,7 +56,7 @@
 //! ex.schedule_at(SimTime::ZERO, Ev::Arrive);
 //! ex.run();
 //! assert!(ex.machine().served > 0);
-//! // Same seed, same trace: rebuild and the event count is identical.
+//! // Same seed, same run: rebuild and the event count is identical.
 //! let processed = ex.processed();
 //! let mut ex2 = Executor::new(Queue { rng: SimRng::new(7), busy: false, waiting: 0, served: 0 });
 //! ex2.schedule_at(SimTime::ZERO, Ev::Arrive);
@@ -69,7 +70,6 @@
 //! - [`rng`]: a seedable, splittable xoshiro256++ RNG with independent streams.
 //! - [`dist`]: sampling distributions for workload and infrastructure models.
 //! - [`stats`]: streaming statistics, percentiles, histograms, time-weighted means.
-//! - [`trace`]: structured event tracing for experiment post-processing.
 
 // lint: deterministic — this module must stay replayable: no wall-clock reads
 
@@ -78,7 +78,6 @@ pub mod engine;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use dist::Dist;
 pub use engine::{Executor, Machine, Outbox};
@@ -87,4 +86,3 @@ pub use stats::{
     percentile, percentile_sorted, summarize, Histogram, Summary, TimeWeighted, Welford,
 };
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceLog, TraceRecord};

@@ -1,7 +1,10 @@
 //! End-to-end integration of the simulated backend: whole-system determinism,
 //! cross-infrastructure runs, failure recovery, and adaptive policies.
 
+mod common;
+
 use pilot_abstraction::core::describe::{PilotDescription, UnitDescription};
+use pilot_abstraction::core::events::ProjEvent;
 use pilot_abstraction::core::sim::{ScaleOutPolicy, SimPilotSystem};
 use pilot_abstraction::core::state::UnitState;
 use pilot_abstraction::infra::cloud::{CloudConfig, CloudProvider};
@@ -9,6 +12,7 @@ use pilot_abstraction::infra::hpc::{BackgroundLoad, HpcCluster, HpcConfig};
 use pilot_abstraction::infra::htc::{HtcConfig, HtcPool};
 use pilot_abstraction::saga::ResourceAdaptor;
 use pilot_abstraction::sim::{Dist, SimDuration, SimTime};
+use std::collections::HashMap;
 
 fn full_system(seed: u64) -> SimPilotSystem {
     let mut sys = SimPilotSystem::new(seed);
@@ -52,6 +56,7 @@ fn full_system(seed: u64) -> SimPilotSystem {
 fn whole_system_run_is_deterministic() {
     let digest = |seed| {
         let report = full_system(seed).run(SimTime::from_hours(24));
+        common::assert_fold_matches(&report);
         let mut acc = Vec::new();
         for u in &report.units {
             acc.push(format!(
@@ -59,7 +64,7 @@ fn whole_system_run_is_deterministic() {
                 u.unit, u.state, u.pilot, u.times.finished
             ));
         }
-        (acc, report.trace.len())
+        (acc, report.events)
     };
     assert_eq!(digest(1), digest(1));
     assert_ne!(digest(1).0, digest(2).0);
@@ -68,6 +73,7 @@ fn whole_system_run_is_deterministic() {
 #[test]
 fn mixed_infrastructure_completes_everything() {
     let report = full_system(7).run(SimTime::from_hours(24));
+    common::assert_fold_matches(&report);
     assert_eq!(report.count(UnitState::Done), 120);
     // All three pilots contributed.
     let mut used: Vec<_> = report.units.iter().filter_map(|u| u.pilot).collect();
@@ -98,15 +104,29 @@ fn htc_slot_failures_do_not_lose_units() {
         sys.submit_unit_fixed(SimTime::ZERO, UnitDescription::new(1), 400.0);
     }
     let report = sys.run(SimTime::from_hours(48));
+    common::assert_fold_matches(&report);
     assert_eq!(
         report.count(UnitState::Done),
         60,
         "every unit must finish despite failures"
     );
-    // Failures actually happened (capacity fluctuations traced).
+    // Failures actually happened: a unit went back to `Pending`, or a
+    // pilot's capacity fell.
+    let mut total = HashMap::new();
+    let capacity_drops = report
+        .events
+        .iter()
+        .filter(|ev| match ev {
+            ProjEvent::PilotCapacity {
+                pilot, total_cores, ..
+            } => total
+                .insert(*pilot, *total_cores)
+                .is_some_and(|before| *total_cores < before),
+            _ => false,
+        })
+        .count();
     assert!(
-        report.trace.of_kind("cu.requeued").count() > 0
-            || report.trace.of_kind("pilot.capacity_down").count() > 0,
+        common::requeues(&report.events) > 0 || capacity_drops > 0,
         "expected at least one failure event at MTBF 600s with 400s tasks"
     );
 }
@@ -136,6 +156,7 @@ fn scale_out_policy_is_bounded() {
         sys.submit_unit_fixed(SimTime::ZERO, UnitDescription::new(1), 200.0);
     }
     let report = sys.run(SimTime::from_hours(48));
+    common::assert_fold_matches(&report);
     assert_eq!(report.count(UnitState::Done), 500);
     let bursts = report.pilots.iter().filter(|p| p.label == "burst").count();
     assert_eq!(bursts, 3, "policy must respect max_extra");
@@ -162,6 +183,7 @@ fn cancel_pilot_mid_run_requeues_to_survivor() {
     }
     sys.cancel_pilot(SimTime::from_secs(300), doomed);
     let report = sys.run(SimTime::from_hours(12));
+    common::assert_fold_matches(&report);
     assert_eq!(report.count(UnitState::Done), 16);
     let survivor = report
         .pilots
@@ -196,6 +218,7 @@ fn virtual_time_is_decoupled_from_wall_time() {
         );
     }
     let report = sys.run(SimTime::from_hours(24 * 7));
+    assert!(report.events.is_empty(), "emission was switched off");
     assert_eq!(report.count(UnitState::Done), 2000);
     assert!(report.makespan() > 100_000.0, "covers days of virtual time");
     assert!(

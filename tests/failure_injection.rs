@@ -2,6 +2,8 @@
 //! unreliable infrastructure, corrupt payloads — the system must degrade
 //! without losing accounting invariants.
 
+mod common;
+
 use pilot_abstraction::apps::lightsource::reconstruct;
 use pilot_abstraction::core::describe::{PilotDescription, UnitDescription};
 use pilot_abstraction::core::retry::{FaultPlan, RetryPolicy};
@@ -129,6 +131,7 @@ fn sim_pilot_walltime_cascade_never_strands_units() {
         sys.submit_unit_fixed(SimTime::ZERO, UnitDescription::new(1), 300.0);
     }
     let report = sys.run(SimTime::from_hours(10));
+    common::assert_fold_matches(&report);
     assert_eq!(report.count(UnitState::Done), 40);
     assert_eq!(report.count(UnitState::Failed), 0);
     assert_eq!(report.count(UnitState::Canceled), 0);
@@ -151,8 +154,9 @@ fn very_unreliable_htc_still_converges() {
         sys.submit_unit_fixed(SimTime::ZERO, UnitDescription::new(1), 350.0);
     }
     let report = sys.run(SimTime::from_hours(48));
+    common::assert_fold_matches(&report);
     assert_eq!(report.count(UnitState::Done), 30);
-    let requeues = report.trace.of_kind("cu.requeued").count();
+    let requeues = common::requeues(&report.events);
     assert!(requeues > 0, "expected churn under MTBF 500s / 350s tasks");
 }
 
@@ -198,7 +202,9 @@ fn injected_pilot_crashes_recover_with_retry_and_replay_byte_identically() {
                 240.0,
             );
         }
-        sys.run(SimTime::from_hours(24))
+        let report = sys.run(SimTime::from_hours(24));
+        common::assert_fold_matches(&report);
+        report
     };
 
     let a = run(RetryPolicy::fixed(6, 5.0));
@@ -211,8 +217,8 @@ fn injected_pilot_crashes_recover_with_retry_and_replay_byte_identically() {
 
     // Byte-identical replay under the same seed.
     let b = run(RetryPolicy::fixed(6, 5.0));
+    assert!(a.events == b.events, "identical transitions");
     assert_eq!(a.reliability, b.reliability);
-    assert_eq!(a.trace.len(), b.trace.len());
     for (ua, ub) in a.units.iter().zip(b.units.iter()) {
         assert_eq!(ua.unit, ub.unit);
         assert_eq!(ua.state, ub.state);
