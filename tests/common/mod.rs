@@ -1,11 +1,58 @@
 //! Helpers shared by the root integration tests: folding a run's
-//! `ProjEvent`s through the read plane's tables, as a materializer would.
+//! `ProjEvent`s through the read plane's tables, as a materializer would,
+//! and digesting a DES run so a scenario's outcome can be pinned.
 
 use pilot_abstraction::core::events::{unit_state_code, ProjEvent, UNIT_STATE_COUNT};
 use pilot_abstraction::core::sim::SimReport;
 use pilot_abstraction::core::state::UnitState;
 use pilot_abstraction::query::QueryTables;
 use std::collections::HashSet;
+
+/// FNV-1a over `bytes`, continuing from `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// FNV-1a digest of everything a DES run decided: each unit's state, pilot
+/// and timestamps, every event's encoding in order, and the reliability and
+/// binding counters. Floats enter as their bit patterns, so a digest holds
+/// only if every decision and every sum is bit-identical.
+pub(crate) fn report_digest(report: &SimReport) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    let opt = |t: Option<f64>| t.map_or(u64::MAX, f64::to_bits);
+    for u in &report.units {
+        h = fnv1a(h, &u.unit.0.to_le_bytes());
+        h = fnv1a(h, &[unit_state_code(u.state)]);
+        h = fnv1a(h, &u.pilot.map_or(u64::MAX, |p| p.0).to_le_bytes());
+        let t = u.times;
+        for x in [
+            t.submitted.to_bits(),
+            opt(t.bound),
+            opt(t.started),
+            opt(t.finished),
+        ] {
+            h = fnv1a(h, &x.to_le_bytes());
+        }
+    }
+    for ev in &report.events {
+        h = fnv1a(h, &ev.encode());
+    }
+    // `Debug` prints every counter, floats in their shortest exact form.
+    h = fnv1a(h, format!("{:?}", report.reliability).as_bytes());
+    fnv1a(h, format!("{:?}", report.bind).as_bytes())
+}
+
+/// Check a run against its pinned [`report_digest`].
+pub(crate) fn assert_digest(report: &SimReport, pinned: u64) {
+    let got = report_digest(report);
+    assert_eq!(
+        got, pinned,
+        "report digest {got:#018x}, pinned {pinned:#018x}"
+    );
+}
 
 /// Fold `events`, in order, into fresh tables.
 pub(crate) fn fold(events: &[ProjEvent]) -> QueryTables {

@@ -68,12 +68,16 @@ fn whole_system_run_is_deterministic() {
     };
     assert_eq!(digest(1), digest(1));
     assert_ne!(digest(1).0, digest(2).0);
+    for (seed, pinned) in [(1, 0x5415_7585_0391_d4beu64), (2, 0xbadd_b4c4_6f6c_f40d)] {
+        common::assert_digest(&full_system(seed).run(SimTime::from_hours(24)), pinned);
+    }
 }
 
 #[test]
 fn mixed_infrastructure_completes_everything() {
     let report = full_system(7).run(SimTime::from_hours(24));
     common::assert_fold_matches(&report);
+    common::assert_digest(&report, 0x0e75_79ea_2389_6982);
     assert_eq!(report.count(UnitState::Done), 120);
     // All three pilots contributed.
     let mut used: Vec<_> = report.units.iter().filter_map(|u| u.pilot).collect();
@@ -105,6 +109,7 @@ fn htc_slot_failures_do_not_lose_units() {
     }
     let report = sys.run(SimTime::from_hours(48));
     common::assert_fold_matches(&report);
+    common::assert_digest(&report, 0xcde2_9f16_d9f4_2fb9);
     assert_eq!(
         report.count(UnitState::Done),
         60,
@@ -157,6 +162,7 @@ fn scale_out_policy_is_bounded() {
     }
     let report = sys.run(SimTime::from_hours(48));
     common::assert_fold_matches(&report);
+    common::assert_digest(&report, 0x4f36_ca6c_50fe_1aa7);
     assert_eq!(report.count(UnitState::Done), 500);
     let bursts = report.pilots.iter().filter(|p| p.label == "burst").count();
     assert_eq!(bursts, 3, "policy must respect max_extra");
@@ -184,6 +190,7 @@ fn cancel_pilot_mid_run_requeues_to_survivor() {
     sys.cancel_pilot(SimTime::from_secs(300), doomed);
     let report = sys.run(SimTime::from_hours(12));
     common::assert_fold_matches(&report);
+    common::assert_digest(&report, 0xc406_b781_6adc_55cc);
     assert_eq!(report.count(UnitState::Done), 16);
     let survivor = report
         .pilots
@@ -219,6 +226,7 @@ fn virtual_time_is_decoupled_from_wall_time() {
     }
     let report = sys.run(SimTime::from_hours(24 * 7));
     assert!(report.events.is_empty(), "emission was switched off");
+    common::assert_digest(&report, 0x7eca_438f_afe0_53c0);
     assert_eq!(report.count(UnitState::Done), 2000);
     assert!(report.makespan() > 100_000.0, "covers days of virtual time");
     assert!(

@@ -44,6 +44,7 @@ fn sim_events() -> Vec<ProjEvent> {
     }
     let report = sys.run(SimTime::from_hours(8));
     common::assert_fold_matches(&report);
+    common::assert_digest(&report, 0x481b_4094_8f84_d94a);
     report.events
 }
 

@@ -3,10 +3,13 @@
 //! any ticks, any victims) and arbitrary shard counts, every unit still
 //! completes exactly once, the shard-assignment log never hands the same
 //! `(shard, epoch)` to two owners, and the whole run replays bit-identically
-//! from its seed.
+//! from its seed. Fixed scenarios, FB-1's quick run among them, pin the
+//! whole report to a digest.
 
 use pilot_abstraction::core::describe::UnitDescription;
-use pilot_abstraction::core::fabric::{Fabric, FabricConfig, KillMode, ScheduledKill};
+use pilot_abstraction::core::fabric::{
+    DaemonKillSchedule, Fabric, FabricConfig, FabricReport, KillMode, ScheduledKill,
+};
 use pilot_abstraction::core::retry::{FaultPlan, RetryPolicy};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -103,6 +106,119 @@ proptest! {
             format!("{:?}", &report),
             format!("{:?}", &replay),
             "replay diverged"
+        );
+    }
+}
+
+/// FNV-1a over every event's encoding, then over the report's `Debug` form
+/// (every counter, the kill, rebalance and assignment logs; floats in their
+/// shortest exact form).
+fn fabric_digest(report: &FabricReport) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for ev in &report.events {
+        mix(&ev.encode());
+    }
+    mix(format!("{report:?}").as_bytes());
+    h
+}
+
+/// FB-1's quick configuration (`pilot-bench` `experiments/fb.rs`): a daemon
+/// drawn from the `DAEMON_KILL` stream stalls mid-run.
+fn fb1_quick() -> FabricReport {
+    let (n_daemons, n_shards, pilots_per_shard, cores_per_pilot) = (4, 8, 4, 8);
+    let (n_units, run_ticks, seed) = (2_000u64, 20u64, 0x4b30);
+    let mut config = FabricConfig {
+        n_daemons,
+        n_shards,
+        pilots_per_shard,
+        cores_per_pilot,
+        tick_s: 0.01,
+        heartbeat_every: 5,
+        lapse_ticks: 15,
+        max_ticks: 1_000_000,
+        seed,
+        faults: FaultPlan::none().with_daemon_kills(600.0),
+        retry: RetryPolicy::fixed(4, 0.05),
+        ..FabricConfig::default()
+    };
+    let schedule = DaemonKillSchedule::from_plan(&config.faults, seed, n_daemons, config.tick_s);
+    let victim = schedule
+        .ticks
+        .iter()
+        .enumerate()
+        .filter_map(|(d, t)| t.map(|tick| (tick, d)))
+        .min()
+        .map_or(0, |(_, d)| d);
+    let total_cores = u64::from(n_shards * pilots_per_shard * cores_per_pilot);
+    let kill_tick = (n_units.div_ceil(total_cores) * run_ticks / 2).max(1);
+    config.faults = FaultPlan::none();
+    config.kills = vec![ScheduledKill {
+        tick: kill_tick,
+        daemon: victim,
+        mode: KillMode::Stall,
+    }];
+    Fabric::run(&config, units(n_units, run_ticks))
+}
+
+#[test]
+fn fixed_scenarios_are_pinned() {
+    let faulty = FabricConfig {
+        seed: 7,
+        faults: FaultPlan::none().with_unit_failures(0.1),
+        // Jittered backoff: every retry draws from the BACKOFF_JITTER stream.
+        retry: RetryPolicy::exponential(6, 0.01, 2.0, 0.5).with_jitter(0.5),
+        ..FabricConfig::default()
+    };
+    let killed = FabricConfig {
+        n_daemons: 4,
+        n_shards: 6,
+        kills: vec![
+            ScheduledKill {
+                tick: 20,
+                daemon: 1,
+                mode: KillMode::Crash,
+            },
+            ScheduledKill {
+                tick: 45,
+                daemon: 2,
+                mode: KillMode::Stall,
+            },
+        ],
+        ..faulty.clone()
+    };
+    let runs = [
+        (
+            "default",
+            Fabric::run(&FabricConfig::default(), units(150, 4)),
+            0xf1bf_7c58_0839_b2deu64,
+        ),
+        (
+            "faulty",
+            Fabric::run(&faulty, units(300, 6)),
+            0x1b76_a113_0edd_9d25,
+        ),
+        (
+            "killed",
+            Fabric::run(&killed, units(300, 6)),
+            0xd1a6_d5bf_ad14_b040,
+        ),
+        ("fb1-quick", fb1_quick(), 0xcb0c_4b3c_7557_48f2),
+    ];
+    for (name, report, pinned) in runs {
+        assert_eq!(report.lost, 0, "{name}: lost units");
+        assert!(
+            name == "default" || report.retries_charged > 0,
+            "{name}: no retry was charged"
+        );
+        let got = fabric_digest(&report);
+        assert_eq!(
+            got, pinned,
+            "{name}: digest {got:#018x}, pinned {pinned:#018x}"
         );
     }
 }

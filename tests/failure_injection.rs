@@ -132,6 +132,7 @@ fn sim_pilot_walltime_cascade_never_strands_units() {
     }
     let report = sys.run(SimTime::from_hours(10));
     common::assert_fold_matches(&report);
+    common::assert_digest(&report, 0x8553_0b01_ff8b_02ea);
     assert_eq!(report.count(UnitState::Done), 40);
     assert_eq!(report.count(UnitState::Failed), 0);
     assert_eq!(report.count(UnitState::Canceled), 0);
@@ -155,6 +156,7 @@ fn very_unreliable_htc_still_converges() {
     }
     let report = sys.run(SimTime::from_hours(48));
     common::assert_fold_matches(&report);
+    common::assert_digest(&report, 0x47e7_1c0f_44af_c79e);
     assert_eq!(report.count(UnitState::Done), 30);
     let requeues = common::requeues(&report.events);
     assert!(requeues > 0, "expected churn under MTBF 500s / 350s tasks");
@@ -208,6 +210,7 @@ fn injected_pilot_crashes_recover_with_retry_and_replay_byte_identically() {
     };
 
     let a = run(RetryPolicy::fixed(6, 5.0));
+    common::assert_digest(&a, 0x2336_8619_bbed_9b0d);
     assert!(
         a.reliability.pilot_crashes > 0,
         "crashes must actually fire"
@@ -228,6 +231,7 @@ fn injected_pilot_crashes_recover_with_retry_and_replay_byte_identically() {
     // Same workload, retries disabled: the crash schedule is identical
     // (per-pilot RNG streams) but failed attempts are terminal.
     let c = run(RetryPolicy::none());
+    common::assert_digest(&c, 0x5df6_009a_5f67_c149);
     assert_eq!(c.reliability.pilot_crashes, a.reliability.pilot_crashes);
     assert!(
         c.count(UnitState::Failed) > 0,
