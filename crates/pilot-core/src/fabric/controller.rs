@@ -24,7 +24,7 @@ use pilot_sim::SimRng;
 use crate::describe::UnitDescription;
 use crate::events::ProjEvent;
 use crate::ids::{PilotId, UnitId};
-use crate::retry::{streams, RetryPolicy};
+use crate::retry::RetryPolicy;
 use crate::state::UnitState;
 
 use super::transport::{ToController, ToDaemon};
@@ -457,11 +457,7 @@ impl Controller {
             t_s,
         });
         let policy = effective_retry(&e.desc, &self.default_retry);
-        if policy.allows_retry(e.failures) {
-            let mut jitter =
-                self.rng
-                    .stream(streams::keyed(streams::BACKOFF_JITTER, unit.0, e.failures));
-            let delay_s = policy.delay_s(e.failures, &mut jitter);
+        if let Some(delay_s) = policy.retry_after_s(e.failures, &self.rng, unit) {
             let ticks = ((delay_s / self.tick_s).ceil() as u64).max(1);
             e.state = LedgerState::Queued;
             self.retry_at

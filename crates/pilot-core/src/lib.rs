@@ -38,6 +38,7 @@ pub mod describe;
 pub mod events;
 pub mod fabric;
 pub mod ids;
+mod ledger;
 pub mod metrics;
 pub mod par;
 pub mod retry;

@@ -21,7 +21,7 @@
 
 // lint: deterministic — this module must stay replayable: no wall-clock reads
 
-use crate::ids::PilotId;
+use crate::ids::{PilotId, UnitId};
 use pilot_sim::SimRng;
 use std::collections::{HashMap, HashSet};
 
@@ -158,6 +158,18 @@ impl RetryPolicy {
             return base;
         }
         base * (1.0 + self.jitter * rng.f64())
+    }
+
+    /// The one retry decision: after `attempts` failed attempts of `unit`,
+    /// the backoff before the next one, or `None` once the budget is spent.
+    /// Jitter comes from the run's `rng`, forked per unit and attempt on the
+    /// [`streams::BACKOFF_JITTER`] stream, so replays draw the same delays.
+    pub fn retry_after_s(&self, attempts: u32, rng: &SimRng, unit: UnitId) -> Option<f64> {
+        if !self.allows_retry(attempts) {
+            return None;
+        }
+        let mut jitter = rng.stream(streams::keyed(streams::BACKOFF_JITTER, unit.0, attempts));
+        Some(self.delay_s(attempts, &mut jitter))
     }
 }
 

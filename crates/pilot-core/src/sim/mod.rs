@@ -9,13 +9,14 @@
 //! which is what lets the experiment harness sweep hundreds of configurations
 //! (EXP PJ-1/PJ-4/IO-1/DY-1) in milliseconds.
 
-use crate::binding::{self, BindStats, PendingQueue};
+use crate::binding::BindStats;
 use crate::describe::{PilotDescription, UnitDescription};
 use crate::events::ProjEvent;
 use crate::ids::{IdGen, PilotId, UnitId};
+use crate::ledger::{Events, Ledger, Retry};
 use crate::metrics::{self, PilotTimes, UnitRecord, UnitTimes};
-use crate::retry::{streams, FailureTracker, FaultPlan, ReliabilityStats};
-use crate::scheduler::{PilotSnapshot, Scheduler};
+use crate::retry::{streams, FaultPlan, ReliabilityStats};
+use crate::scheduler::Scheduler;
 use crate::state::{PilotState, UnitState};
 use pilot_infra::component::{Component, Effects};
 use pilot_infra::network::NetworkModel;
@@ -149,102 +150,26 @@ enum Ev {
     PolicyTick,
 }
 
-struct SimPilotRt {
-    site: usize,
+/// The DES driver's part of a pilot: its description and placeholder job.
+struct SimPilot {
     desc: PilotDescription,
-    state: PilotState,
-    /// Cores currently delivered by the adaptor.
-    capacity: u32,
-    /// Cores reserved by bound units.
-    used: u32,
     job: JobId,
-    times: PilotTimes,
-}
-
-struct SimUnitRt {
-    desc: UnitDescription,
-    duration: Dist,
-    state: UnitState,
-    pilot: Option<PilotId>,
-    times: UnitTimes,
-    generation: u64,
-    attempts: u32,
-    /// When the last failed attempt happened; consumed at the next bind to
-    /// measure time-to-recovery.
-    failed_at: Option<f64>,
-}
-
-/// The machine's transitions as [`ProjEvent`]s, in the order they happen;
-/// `None` once emission is switched off. A field of its own so a transition
-/// can be recorded while the unit or pilot it moves is borrowed.
-struct Events(Option<Vec<ProjEvent>>);
-
-impl Events {
-    /// The one emit path: the on/off switch is checked here only.
-    fn push(&mut self, ev: ProjEvent) {
-        if let Some(events) = &mut self.0 {
-            events.push(ev);
-        }
-    }
-
-    /// Advance a unit to `next` and record it, on the unit's current pilot.
-    fn unit(&mut self, now: SimTime, unit: UnitId, u: &mut SimUnitRt, next: UnitState) {
-        UnitState::advance(&mut u.state, next);
-        self.push(ProjEvent::Unit {
-            unit,
-            state: next,
-            pilot: u.pilot,
-            t_s: now.as_secs_f64(),
-        });
-    }
-
-    /// Advance a pilot to `next` and record it.
-    fn pilot(&mut self, now: SimTime, pilot: PilotId, p: &mut SimPilotRt, next: PilotState) {
-        PilotState::advance(&mut p.state, next);
-        self.push(ProjEvent::Pilot {
-            pilot,
-            state: next,
-            t_s: now.as_secs_f64(),
-        });
-    }
-
-    /// Record a pilot's current `capacity` and `used`.
-    fn capacity(&mut self, now: SimTime, pilot: PilotId, p: &SimPilotRt) {
-        self.push(ProjEvent::PilotCapacity {
-            pilot,
-            free_cores: p.capacity.saturating_sub(p.used),
-            total_cores: p.capacity,
-            t_s: now.as_secs_f64(),
-        });
-    }
 }
 
 struct SystemMachine {
     adaptors: Vec<ResourceAdaptor>,
-    scheduler: Box<dyn Scheduler>,
     network: NetworkModel,
-    rng: SimRng,
-    pilots: HashMap<PilotId, SimPilotRt>,
-    units: HashMap<UnitId, SimUnitRt>,
-    pending: PendingQueue,
+    /// Units (with their duration models) and pilots.
+    ledger: Ledger<Dist, SimPilot>,
     /// A `BindPass` event is already queued for the current instant.
     sched_dirty: bool,
     job_owner: HashMap<(usize, JobId), PilotId>,
     next_job: u64,
     policy: Option<ScaleOutPolicy>,
     policy_extra_submitted: u32,
-    events: Events,
-    faults: FaultPlan,
-    tracker: FailureTracker,
-    rel: ReliabilityStats,
-    stats: BindStats,
 }
 
 impl SystemMachine {
-    fn now_s(t: SimTime) -> f64 {
-        t.as_secs_f64()
-    }
-
     fn feed_adaptor(&mut self, now: SimTime, site: usize, ev: SagaIn, out: &mut Outbox<Ev>) {
         let mut fx = Effects::new(now);
         self.adaptors[site].handle(now, ev, &mut fx);
@@ -257,205 +182,49 @@ impl SystemMachine {
     }
 
     fn on_saga_out(&mut self, now: SimTime, site: usize, o: SagaOut, out: &mut Outbox<Ev>) {
+        let t = now.as_secs_f64();
+        let job = match o {
+            SagaOut::Queued { .. } => return,
+            SagaOut::CapacityUp { job, .. }
+            | SagaOut::CapacityDown { job, .. }
+            | SagaOut::Done { job, .. } => job,
+        };
+        let Some(&pid) = self.job_owner.get(&(site, job)) else {
+            return;
+        };
         match o {
-            SagaOut::Queued { .. } => {}
-            SagaOut::CapacityUp { job, total, .. } => {
-                let Some(&pid) = self.job_owner.get(&(site, job)) else {
-                    return;
-                };
-                let Some(p) = self.pilots.get_mut(&pid) else {
-                    debug_assert!(false, "job_owner points at missing pilot {pid}");
-                    return;
-                };
-                p.capacity = total;
-                if p.state == PilotState::Pending {
-                    p.times.active = Some(Self::now_s(now));
-                    self.events.pilot(now, pid, p, PilotState::Active);
-                    // Arm the injected crash clock for this pilot: one
-                    // exponential draw from a stream keyed by pilot id, so
-                    // replays with the same seed crash at the same instants.
-                    if let Some(mtbf) = self.faults.pilot_crash_mtbf_s {
-                        let mut r = self
-                            .rng
-                            .stream(streams::keyed(streams::PILOT_CRASH, pid.0, 0));
-                        let ttf = r.exponential(mtbf);
+            SagaOut::CapacityUp { total, .. } => {
+                if self.ledger.capacity_up(pid, total, t) {
+                    if let Some(ttf) = self.ledger.crash_after_s(pid) {
                         out.after(SimDuration::from_secs_f64(ttf), Ev::PilotCrash(pid));
                     }
                 }
-                self.events.capacity(now, pid, p);
                 self.schedule(out);
             }
-            SagaOut::CapacityDown { job, total, .. } => {
-                let Some(&pid) = self.job_owner.get(&(site, job)) else {
-                    return;
-                };
-                let Some(p) = self.pilots.get_mut(&pid) else {
-                    debug_assert!(false, "job_owner points at missing pilot {pid}");
-                    return;
-                };
-                p.capacity = total;
-                self.reclaim_overcommit(now, pid);
-            }
-            SagaOut::Done { job, outcome } => {
-                let Some(&pid) = self.job_owner.get(&(site, job)) else {
-                    return;
-                };
-                let Some(p) = self.pilots.get_mut(&pid) else {
-                    debug_assert!(false, "job_owner points at missing pilot {pid}");
-                    return;
-                };
-                if p.state.is_terminal() {
-                    return;
-                }
-                let target = match outcome {
+            SagaOut::CapacityDown { total, .. } => self.ledger.capacity_down(pid, total, t),
+            SagaOut::Done { outcome, .. } => {
+                let state = match outcome {
                     JobOutcome::Completed | JobOutcome::WalltimeExceeded => PilotState::Done,
                     JobOutcome::Canceled => PilotState::Canceled,
                     JobOutcome::Failed | JobOutcome::Rejected => PilotState::Failed,
                 };
-                // A pilot whose job ends before it ever activated did no
-                // work: it ends `Canceled` (`Pending -> Done` is not an edge
-                // in the P* machine).
-                let target = if p.state.can_transition_to(target) {
-                    target
-                } else {
-                    PilotState::Canceled
-                };
-                p.capacity = 0;
-                p.times.finished = Some(Self::now_s(now));
-                self.events.pilot(now, pid, p, target);
-                self.requeue_bound_units(now, pid);
-                self.schedule(out);
-            }
-        }
-    }
-
-    /// After capacity loss, requeue the most recently started units until the
-    /// pilot fits its remaining capacity (work on lost slots is lost), then
-    /// record the pilot's new capacity.
-    fn reclaim_overcommit(&mut self, now: SimTime, pid: PilotId) {
-        let p = &self.pilots[&pid];
-        let (mut used, capacity) = (p.used, p.capacity);
-        if used > capacity {
-            let mut victims: Vec<(f64, UnitId)> = self
-                .units
-                .iter()
-                .filter(|(_, u)| {
-                    u.pilot == Some(pid) && !u.state.is_terminal() && u.state != UnitState::Pending
-                })
-                .map(|(&id, u)| (u.times.started.unwrap_or(f64::MAX), id))
-                .collect();
-            victims.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1 .0.cmp(&b.1 .0)));
-            for (_, uid) in victims {
-                if used <= capacity {
-                    break;
+                if self.ledger.end_pilot(pid, state, t) {
+                    self.schedule(out);
                 }
-                used -= self.requeue_unit(now, uid);
             }
-        }
-        if let Some(p) = self.pilots.get_mut(&pid) {
-            p.used = used;
-            self.events.capacity(now, pid, p);
+            SagaOut::Queued { .. } => {}
         }
     }
 
-    /// Requeue every non-terminal unit bound to a dead pilot.
-    fn requeue_bound_units(&mut self, now: SimTime, pid: PilotId) {
-        let mut bound: Vec<UnitId> = self
-            .units
-            .iter()
-            .filter(|(_, u)| {
-                u.pilot == Some(pid) && !u.state.is_terminal() && u.state != UnitState::Pending
-            })
-            .map(|(&id, _)| id)
-            .collect();
-        // HashMap iteration order is nondeterministic; process in id order so
-        // replays accumulate float metrics identically.
-        bound.sort_by_key(|u| u.0);
-        for uid in bound {
-            self.requeue_unit(now, uid);
-        }
-        if let Some(p) = self.pilots.get_mut(&pid) {
-            p.used = 0;
-            self.events.capacity(now, pid, p);
-        }
-    }
-
-    /// Move a unit back to Pending; returns the cores it released.
-    ///
-    /// This is the *planned* rebinding path (walltime expiry, capacity
-    /// reclaim): the resource went away, the unit did not fail, so the retry
-    /// budget is not charged.
-    fn requeue_unit(&mut self, now: SimTime, uid: UnitId) -> u32 {
-        let Some(u) = self.units.get_mut(&uid) else {
-            debug_assert!(false, "requeue of unknown unit {uid}");
-            return 0;
-        };
-        if u.state == UnitState::Running {
-            // The in-flight attempt dies with its resource; the machine has
-            // no `Running -> Pending` edge, so the planned rebind routes
-            // through `Failed`. The retry budget is deliberately not charged.
-            self.events.unit(now, uid, u, UnitState::Failed);
-        }
-        u.pilot = None;
-        self.events.unit(now, uid, u, UnitState::Pending);
-        u.generation += 1;
-        u.times.bound = None;
-        u.times.started = None;
-        self.pending.push(uid, u.desc.priority, u.desc.cores);
-        self.rel.rebinds += 1;
-        u.desc.cores
-    }
-
-    /// One execution/staging attempt failed. Charges the retry budget and
-    /// either re-enters the late-binding queue (after backoff) or fails the
-    /// unit terminally once the budget is exhausted.
-    fn fail_attempt(&mut self, now: SimTime, uid: UnitId, out: &mut Outbox<Ev>) {
-        let now_s = Self::now_s(now);
-        let (pid, cores, retry, attempts) = {
-            let Some(u) = self.units.get_mut(&uid) else {
-                debug_assert!(false, "failed attempt for unknown unit {uid}");
-                return;
-            };
-            if let Some(s) = u.times.started {
-                self.rel.wasted_work_s += now_s - s;
-            }
-            u.generation += 1;
-            u.attempts += 1;
-            self.events.unit(now, uid, u, UnitState::Failed);
-            (u.pilot, u.desc.cores, u.desc.retry, u.attempts)
-        };
-        if let Some(pid) = pid {
-            if let Some(p) = self.pilots.get_mut(&pid) {
-                p.used = p.used.saturating_sub(cores);
-                self.events.capacity(now, pid, p);
-            }
-            if self.tracker.record_failure(pid) {
-                self.rel.blacklisted_pilots += 1;
-            }
-        }
-        let Some(u) = self.units.get_mut(&uid) else {
-            return;
-        };
-        u.pilot = None;
-        u.times.bound = None;
-        u.times.started = None;
-        if retry.allows_retry(attempts) {
-            self.rel.requeues += 1;
-            u.failed_at = Some(now_s);
-            let mut jitter =
-                self.rng
-                    .stream(streams::keyed(streams::BACKOFF_JITTER, uid.0, attempts));
-            let delay = retry.delay_s(attempts, &mut jitter);
-            let gen = u.generation;
+    /// After a failed attempt: arm the granted retry's backoff, then a pass
+    /// (the cores it held are free either way).
+    fn arm_retry(&mut self, uid: UnitId, retry: Option<Retry>, out: &mut Outbox<Ev>) {
+        if let Some(r) = retry {
             out.after(
-                SimDuration::from_secs_f64(delay),
-                Ev::RetryRelease(uid, gen),
+                SimDuration::from_secs_f64(r.after_s),
+                Ev::RetryRelease(uid, r.gen),
             );
-        } else {
-            u.times.finished = Some(now_s);
-            self.rel.exhausted_units += 1;
         }
-        // Either way cores were released; other pending units may now fit.
         self.schedule(out);
     }
 
@@ -469,130 +238,47 @@ impl SystemMachine {
         }
     }
 
-    /// One late-binding pass: build the pilot snapshots once, offer — in
-    /// priority order — the pending units whose core demand fits some
-    /// snapshot, and apply capacity deltas to the in-memory snapshots after
-    /// each bind. Units that fit nowhere are not touched, so the pass costs
-    /// what it binds, not what is queued; placements match the old
-    /// rebuild-per-bind loop (see `crate::binding`).
-    fn bind_pass(&mut self, now: SimTime, out: &mut Outbox<Ev>) {
-        if self.pending.is_empty() {
-            return;
-        }
-        // Full *and still-pending* pilots stay visible (with zero free
-        // cores): delay-scheduling policies must be able to decide
-        // "wait for that pilot" over "go remote now".
-        let mut snapshots: Vec<PilotSnapshot> = self
-            .pilots
-            .iter()
-            .filter(|(id, p)| {
-                ((p.state == PilotState::Active && p.capacity > 0)
-                    || p.state == PilotState::Pending)
-                    && !self.tracker.is_blacklisted(**id)
-            })
-            .map(|(&id, p)| PilotSnapshot {
-                pilot: id,
-                site: SiteId(p.site as u16),
-                total_cores: p.capacity,
-                free_cores: p.capacity.saturating_sub(p.used),
-                bound_units: 0,
-                remaining_walltime_s: p
-                    .times
-                    .active
-                    .map(|a| a + p.desc.walltime.as_secs_f64() - Self::now_s(now))
-                    .unwrap_or(0.0),
-            })
-            .collect();
-        if snapshots.is_empty() {
-            return;
-        }
-        // HashMap iteration order is not deterministic; schedulers see
-        // pilots in id order so identical seeds replay identically.
-        snapshots.sort_by_key(|s| s.pilot.0);
-        // Shared with the thread backend and the fabric host daemons:
-        // placements are decided by `binding::queue_pass` and committed
-        // afterwards (the unit table stays borrowed shared during the scan).
-        let units = &self.units;
-        let outcome = binding::queue_pass(
-            self.scheduler.as_mut(),
-            &mut snapshots,
-            &mut self.pending,
-            |uid| {
-                units
-                    .get(&uid)
-                    .filter(|u| u.state == UnitState::Pending)
-                    .map(|u| &u.desc)
-            },
-        );
-        self.stats
-            .note_pass(snapshots.len(), outcome.offered, outcome.binds.len() as u64);
-        for (uid, pid) in outcome.binds {
-            self.bind(now, uid, pid, out);
-        }
-    }
-
-    fn bind(&mut self, now: SimTime, uid: UnitId, pid: PilotId, out: &mut Outbox<Ev>) {
-        let site;
-        {
-            // The bind pass only offers live pending units to live pilots;
-            // skipping a phantom bind keeps the event loop alive (the unit
-            // stays pending for the next pass).
-            let Some(p) = self.pilots.get_mut(&pid) else {
-                debug_assert!(false, "bind: scheduler returned dead pilot {pid}");
+    /// One late-binding pass; each bound unit passes through `Assigned` and
+    /// starts staging at the same instant. Stage-in transfers every
+    /// non-local input from its first replica site, one after the other
+    /// (conservative; parallel staging would take the max instead).
+    fn bind_and_stage(&mut self, t: f64, out: &mut Outbox<Ev>) {
+        let network = &self.network;
+        self.ledger.bind_pass(t, |l, uid, pid| {
+            l.stage(uid, t);
+            let (Some(u), Some(p)) = (l.unit(uid), l.pilot(pid)) else {
                 return;
             };
-            site = p.site;
-            let Some(u) = self.units.get_mut(&uid) else {
-                debug_assert!(false, "bind: pending unit {uid} vanished");
-                return;
+            let dst = p.site;
+            let mut staging = SimDuration::ZERO;
+            for input in &u.desc.inputs {
+                if !input.is_local_to(dst) {
+                    let src = input.sites.first().copied().unwrap_or(dst);
+                    staging += network.base_transfer_time(input.size_bytes, src, dst);
+                }
+            }
+            // Transient stage-in fault: the transfer runs (and pays its
+            // time) but fails at the end, charging one attempt.
+            let p = l.faults.staging_failure_p;
+            let mut fault_rng =
+                l.rng
+                    .stream(streams::keyed(streams::STAGING_FAULT, uid.0, u.attempts));
+            let ev = if p > 0.0 && fault_rng.bool(p) {
+                Ev::StagingFail(uid, u.generation)
+            } else {
+                Ev::UnitStaged(uid, u.generation)
             };
-            assert!(
-                p.capacity - p.used >= u.desc.cores,
-                "scheduler over-committed pilot {pid}"
-            );
-            p.used += u.desc.cores;
-            self.events.capacity(now, pid, p);
-            // Sim units pass through `Assigned` instantaneously: binding and
-            // stage-in begin at the same virtual instant.
-            u.pilot = Some(pid);
-            self.events.unit(now, uid, u, UnitState::Assigned);
-            self.events.unit(now, uid, u, UnitState::Staging);
-            u.times.bound = Some(Self::now_s(now));
-            // A rebind after a failure completes a recovery.
-            if let Some(f) = u.failed_at.take() {
-                self.rel.recovery_s += Self::now_s(now) - f;
-                self.rel.recoveries += 1;
-            }
-        }
-        // Stage-in: sequentially transfer every non-local input from its
-        // first replica site (conservative; parallel staging would take the
-        // max instead).
-        let u = &self.units[&uid];
-        let dst = SiteId(site as u16);
-        let mut staging = SimDuration::ZERO;
-        for input in &u.desc.inputs {
-            if !input.is_local_to(dst) {
-                let src = input.sites.first().copied().unwrap_or(dst);
-                staging += self.network.base_transfer_time(input.size_bytes, src, dst);
-            }
-        }
-        let gen = u.generation;
-        // Transient stage-in fault: the transfer runs (and pays its time)
-        // but fails at the end, charging one attempt.
-        let mut fault_rng =
-            self.rng
-                .stream(streams::keyed(streams::STAGING_FAULT, uid.0, u.attempts));
-        if self.faults.staging_failure_p > 0.0 && fault_rng.bool(self.faults.staging_failure_p) {
-            out.after(staging, Ev::StagingFail(uid, gen));
-        } else {
-            out.after(staging, Ev::UnitStaged(uid, gen));
-        }
+            out.after(staging, ev);
+        });
     }
 
-    fn fresh_job(&mut self) -> JobId {
-        let j = JobId(self.next_job);
+    fn add_pilot(&mut self, pid: PilotId, site: SiteId, desc: PilotDescription) {
+        let job = JobId(self.next_job);
         self.next_job += 1;
-        j
+        self.job_owner.insert((usize::from(site.0), job), pid);
+        let walltime_s = Some(desc.walltime.as_secs_f64());
+        self.ledger
+            .add_pilot(pid, site, 0, walltime_s, SimPilot { desc, job });
     }
 }
 
@@ -600,224 +286,111 @@ impl Machine for SystemMachine {
     type Event = Ev;
 
     fn handle(&mut self, now: SimTime, event: Ev, out: &mut Outbox<Ev>) {
+        let t = now.as_secs_f64();
         match event {
             Ev::Saga { site, ev } => self.feed_adaptor(now, site, ev, out),
             Ev::SubmitPilot(pid) => {
-                let (site, job, desc) = {
-                    let Some(p) = self.pilots.get_mut(&pid) else {
-                        debug_assert!(false, "submit event for unknown pilot {pid}");
-                        return;
-                    };
-                    p.times.submitted = Self::now_s(now);
-                    (p.site, p.job, p.desc.clone())
-                };
-                // Not an `advance`: the pilot has been `Pending` since it was
-                // registered, and this is when it is submitted.
-                self.events.push(ProjEvent::Pilot {
-                    pilot: pid,
-                    state: PilotState::Pending,
-                    t_s: Self::now_s(now),
-                });
-                self.feed_adaptor(
-                    now,
-                    site,
-                    SagaIn::Submit {
-                        job,
-                        desc: JobDescription::placeholder(desc.cores, desc.walltime),
-                    },
-                    out,
-                );
-            }
-            Ev::SubmitUnit(uid) => {
-                let Some(u) = self.units.get_mut(&uid) else {
-                    debug_assert!(false, "submit event for unknown unit {uid}");
+                let Some(p) = self.ledger.pilot(pid) else {
+                    debug_assert!(false, "submit event for unknown pilot {pid}");
                     return;
                 };
-                self.events.unit(now, uid, u, UnitState::Pending);
-                u.times.submitted = Self::now_s(now);
-                self.pending.push(uid, u.desc.priority, u.desc.cores);
+                let (site, job) = (usize::from(p.site.0), p.x.job);
+                let desc = JobDescription::placeholder(p.x.desc.cores, p.x.desc.walltime);
+                self.ledger.submit_pilot(pid, t);
+                self.feed_adaptor(now, site, SagaIn::Submit { job, desc }, out);
+            }
+            Ev::SubmitUnit(uid) => {
+                self.ledger.submit(uid, t);
                 self.schedule(out);
             }
             Ev::CancelPilot(pid) => {
-                let Some(p) = self.pilots.get(&pid) else {
+                let Some(p) = self.ledger.pilot(pid) else {
                     return;
                 };
-                let (site, job) = (p.site, p.job);
+                let (site, job) = (usize::from(p.site.0), p.x.job);
                 self.feed_adaptor(now, site, SagaIn::Cancel(job), out);
             }
             Ev::UnitStaged(uid, gen) => {
-                let Some(u) = self.units.get_mut(&uid) else {
-                    return;
-                };
-                if u.generation != gen || u.state != UnitState::Staging {
+                if !self.ledger.start(uid, gen, t) {
                     return;
                 }
-                self.events.unit(now, uid, u, UnitState::Running);
-                u.times.started = Some(Self::now_s(now));
+                let l = &self.ledger;
+                let Some(u) = l.unit(uid) else {
+                    return;
+                };
                 // Sample duration deterministically per (unit, attempt).
-                let mut dur_rng = self.rng.stream(uid.0 ^ (u.attempts as u64) << 48);
-                let dur = u.duration.sample(&mut dur_rng).max(0.0);
-                self.rel.attempts += 1;
+                let mut dur_rng = l.rng.stream(uid.0 ^ (u.attempts as u64) << 48);
+                let dur = u.x.sample(&mut dur_rng).max(0.0);
                 // The attempt's outcome is decided up front: the earliest of
                 // injected kernel fault, deadline expiry, and normal finish.
-                let mut fault_rng =
-                    self.rng
-                        .stream(streams::keyed(streams::UNIT_FAULT, uid.0, u.attempts));
-                let fault_at = (self.faults.unit_failure_p > 0.0
-                    && fault_rng.bool(self.faults.unit_failure_p))
-                .then(|| dur * fault_rng.f64());
+                let fault_at = l.doomed(uid).map(|mut r| dur * r.f64());
                 let deadline_at = u.desc.deadline_s.filter(|d| *d < dur);
-                match (fault_at, deadline_at) {
+                let (after, ev) = match (fault_at, deadline_at) {
                     (Some(f), d) if d.is_none_or(|d| f <= d) => {
-                        out.after(
-                            SimDuration::from_secs_f64(f),
-                            Ev::UnitFail(uid, gen, FailKind::Fault),
-                        );
+                        (f, Ev::UnitFail(uid, gen, FailKind::Fault))
                     }
-                    (_, Some(d)) => {
-                        out.after(
-                            SimDuration::from_secs_f64(d),
-                            Ev::UnitFail(uid, gen, FailKind::Deadline),
-                        );
-                    }
-                    _ => {
-                        out.after(SimDuration::from_secs_f64(dur), Ev::UnitFinish(uid, gen));
-                    }
-                }
+                    (_, Some(d)) => (d, Ev::UnitFail(uid, gen, FailKind::Deadline)),
+                    _ => (dur, Ev::UnitFinish(uid, gen)),
+                };
+                out.after(SimDuration::from_secs_f64(after), ev);
             }
             Ev::UnitFinish(uid, gen) => {
-                let Some(u) = self.units.get_mut(&uid) else {
-                    return;
-                };
-                if u.generation != gen || u.state != UnitState::Running {
-                    return;
+                if self.ledger.is_current(uid, gen, UnitState::Running) {
+                    self.ledger.finish(uid, UnitState::Done, t);
+                    self.schedule(out);
                 }
-                self.events.unit(now, uid, u, UnitState::Done);
-                u.times.finished = Some(Self::now_s(now));
-                self.events.push(ProjEvent::UnitMetric {
-                    unit: uid,
-                    wait_s: u.times.wait().unwrap_or(0.0),
-                    exec_s: u.times.execution().unwrap_or(0.0),
-                    t_s: Self::now_s(now),
-                });
-                let Some(pid) = u.pilot else {
-                    debug_assert!(false, "running unit {uid} has no pilot");
-                    return;
-                };
-                let cores = u.desc.cores;
-                if let Some(p) = self.pilots.get_mut(&pid) {
-                    p.used = p.used.saturating_sub(cores);
-                    self.events.capacity(now, pid, p);
-                }
-                self.tracker.record_success(pid);
-                self.schedule(out);
             }
             Ev::UnitFail(uid, gen, kind) => {
-                let Some(u) = self.units.get(&uid) else {
-                    return;
-                };
-                if u.generation != gen || u.state != UnitState::Running {
+                if !self.ledger.is_current(uid, gen, UnitState::Running) {
                     return;
                 }
                 match kind {
-                    FailKind::Fault => self.rel.injected_unit_faults += 1,
-                    FailKind::Deadline => self.rel.deadline_expirations += 1,
+                    FailKind::Fault => self.ledger.rel.injected_unit_faults += 1,
+                    FailKind::Deadline => self.ledger.rel.deadline_expirations += 1,
                 }
-                self.fail_attempt(now, uid, out);
+                let retry = self.ledger.fail_attempt(uid, t);
+                self.arm_retry(uid, retry, out);
             }
             Ev::StagingFail(uid, gen) => {
-                let Some(u) = self.units.get(&uid) else {
-                    return;
-                };
-                if u.generation != gen || u.state != UnitState::Staging {
-                    return;
+                if self.ledger.is_current(uid, gen, UnitState::Staging) {
+                    self.ledger.rel.injected_staging_faults += 1;
+                    let retry = self.ledger.fail_attempt(uid, t);
+                    self.arm_retry(uid, retry, out);
                 }
-                self.rel.injected_staging_faults += 1;
-                self.fail_attempt(now, uid, out);
             }
             Ev::RetryRelease(uid, gen) => {
-                let Some(u) = self.units.get_mut(&uid) else {
-                    return;
-                };
-                if u.generation != gen || u.state != UnitState::Failed {
-                    return;
+                if self.ledger.release(uid, gen, t) {
+                    self.schedule(out);
                 }
-                // The retry edge: Failed → Pending, back into late binding.
-                self.events.unit(now, uid, u, UnitState::Pending);
-                self.pending.push(uid, u.desc.priority, u.desc.cores);
-                self.schedule(out);
             }
             Ev::PilotCrash(pid) => {
-                let Some(p) = self.pilots.get_mut(&pid) else {
-                    return;
-                };
-                if p.state != PilotState::Active {
+                if !self.ledger.crash(pid, t) {
                     return;
                 }
-                self.events.pilot(now, pid, p, PilotState::Failed);
-                p.capacity = 0;
-                p.used = 0;
-                self.events.capacity(now, pid, p);
-                p.times.finished = Some(Self::now_s(now));
-                let (site, job) = (p.site, p.job);
-                self.rel.pilot_crashes += 1;
                 // Release the placeholder job on the infrastructure.
-                self.feed_adaptor(now, site, SagaIn::Cancel(job), out);
-                // Units that were executing lose their attempt (retry budget
-                // applies); units not yet running rebind for free. Sorted by
-                // id: HashMap order is nondeterministic and float metrics
-                // must accumulate identically across replays.
-                let mut bound: Vec<(UnitId, UnitState)> = self
-                    .units
-                    .iter()
-                    .filter(|(_, u)| {
-                        u.pilot == Some(pid)
-                            && !u.state.is_terminal()
-                            && u.state != UnitState::Pending
-                    })
-                    .map(|(&id, u)| (id, u.state))
-                    .collect();
-                bound.sort_by_key(|(u, _)| u.0);
-                for (uid, state) in bound {
-                    if state == UnitState::Running {
-                        self.fail_attempt(now, uid, out);
-                    } else {
-                        self.requeue_unit(now, uid);
-                    }
+                if let Some(p) = self.ledger.pilot(pid) {
+                    let (site, job) = (usize::from(p.site.0), p.x.job);
+                    self.feed_adaptor(now, site, SagaIn::Cancel(job), out);
+                }
+                for (uid, retry) in self.ledger.sweep(pid, t) {
+                    self.arm_retry(uid, retry, out);
                 }
                 self.schedule(out);
             }
             Ev::BindPass => {
                 self.sched_dirty = false;
-                self.bind_pass(now, out);
+                self.bind_and_stage(t, out);
             }
             Ev::PolicyTick => {
                 let Some(policy) = self.policy.clone() else {
                     return;
                 };
-                if self.pending.len() > policy.queue_threshold
+                if self.ledger.backlog() > policy.queue_threshold
                     && self.policy_extra_submitted < policy.max_extra
                 {
                     self.policy_extra_submitted += 1;
                     let pid = PilotId(u64::MAX - u64::from(self.policy_extra_submitted));
-                    let job = self.fresh_job();
-                    let site = policy.burst_site.0 as usize;
-                    self.pilots.insert(
-                        pid,
-                        SimPilotRt {
-                            site,
-                            desc: policy.pilot.clone(),
-                            state: PilotState::Pending,
-                            capacity: 0,
-                            used: 0,
-                            job,
-                            times: PilotTimes {
-                                submitted: Self::now_s(now),
-                                ..Default::default()
-                            },
-                        },
-                    );
-                    self.job_owner.insert((site, job), pid);
+                    self.add_pilot(pid, policy.burst_site, policy.pilot);
                     out.immediately(Ev::SubmitPilot(pid));
                 }
                 out.after(policy.check_every, Ev::PolicyTick);
@@ -837,22 +410,17 @@ impl SimPilotSystem {
     pub fn new(seed: u64) -> Self {
         let machine = SystemMachine {
             adaptors: Vec::new(),
-            scheduler: Box::new(crate::scheduler::FirstFitScheduler),
             network: NetworkModel::new(&[]),
-            rng: SimRng::new(seed),
-            pilots: HashMap::new(),
-            units: HashMap::new(),
-            pending: PendingQueue::default(),
+            ledger: Ledger::new(
+                Box::new(crate::scheduler::FirstFitScheduler),
+                SimRng::new(seed),
+                FaultPlan::none(),
+            ),
             sched_dirty: false,
             job_owner: HashMap::new(),
             next_job: 1,
             policy: None,
             policy_extra_submitted: 0,
-            events: Events(Some(Vec::new())),
-            faults: FaultPlan::none(),
-            tracker: FailureTracker::new(None),
-            rel: ReliabilityStats::default(),
-            stats: BindStats::default(),
         };
         SimPilotSystem {
             exec: Executor::new(machine),
@@ -881,7 +449,7 @@ impl SimPilotSystem {
 
     /// Replace the late-binding scheduler.
     pub fn set_scheduler(&mut self, scheduler: Box<dyn Scheduler>) {
-        self.exec.machine_mut().scheduler = scheduler;
+        self.exec.machine_mut().ledger.scheduler = scheduler;
     }
 
     /// Replace the network model (after all resources are added).
@@ -899,37 +467,22 @@ impl SimPilotSystem {
     /// Switch event emission off (large sweeps): the report's `events`
     /// stay empty.
     pub fn disable_trace(&mut self) {
-        self.exec.machine_mut().events = Events(None);
+        self.exec.machine_mut().ledger.events = Events(None);
     }
 
     /// Install a deterministic fault-injection plan. All fault draws come
     /// from RNG streams derived from the run seed, so replays are
     /// byte-identical.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        let m = self.exec.machine_mut();
-        m.faults = plan;
-        m.tracker = FailureTracker::new(plan.blacklist_after);
+        self.exec.machine_mut().ledger.set_faults(plan);
     }
 
     /// Submit a pilot at virtual time `at`.
     pub fn submit_pilot(&mut self, at: SimTime, site: SiteId, desc: PilotDescription) -> PilotId {
         let pid = self.ids.pilot();
         let m = self.exec.machine_mut();
-        let job = m.fresh_job();
         assert!((site.0 as usize) < m.adaptors.len(), "unknown site {site}");
-        m.pilots.insert(
-            pid,
-            SimPilotRt {
-                site: site.0 as usize,
-                desc,
-                state: PilotState::Pending,
-                capacity: 0,
-                used: 0,
-                job,
-                times: PilotTimes::default(),
-            },
-        );
-        m.job_owner.insert((site.0 as usize, job), pid);
+        m.add_pilot(pid, site, desc);
         self.exec.schedule_at(at, Ev::SubmitPilot(pid));
         pid
     }
@@ -937,19 +490,7 @@ impl SimPilotSystem {
     /// Submit a unit at virtual time `at` with a sampled duration model.
     pub fn submit_unit(&mut self, at: SimTime, desc: UnitDescription, duration: Dist) -> UnitId {
         let uid = self.ids.unit();
-        self.exec.machine_mut().units.insert(
-            uid,
-            SimUnitRt {
-                desc,
-                duration,
-                state: UnitState::New,
-                pilot: None,
-                times: UnitTimes::default(),
-                generation: 0,
-                attempts: 0,
-                failed_at: None,
-            },
-        );
+        self.exec.machine_mut().ledger.add_unit(uid, desc, duration);
         self.exec.schedule_at(at, Ev::SubmitUnit(uid));
         uid
     }
@@ -973,8 +514,8 @@ impl SimPilotSystem {
     pub fn run(mut self, until: SimTime) -> SimReport {
         self.exec.run_until(until);
         let end_time = self.exec.now();
-        let m = self.exec.into_machine();
-        let mut units: Vec<UnitRecord> = m
+        let l = self.exec.into_machine().ledger;
+        let mut units: Vec<UnitRecord> = l
             .units
             .iter()
             .map(|(&unit, u)| UnitRecord {
@@ -986,13 +527,13 @@ impl SimPilotSystem {
             })
             .collect();
         units.sort_by_key(|u| u.unit.0);
-        let mut pilots: Vec<SimPilotRecord> = m
+        let mut pilots: Vec<SimPilotRecord> = l
             .pilots
             .iter()
             .map(|(&pilot, p)| SimPilotRecord {
                 pilot,
-                site: SiteId(p.site as u16),
-                label: p.desc.label.clone(),
+                site: p.site,
+                label: p.x.desc.label.clone(),
                 state: p.state,
                 times: p.times,
             })
@@ -1001,10 +542,10 @@ impl SimPilotSystem {
         SimReport {
             units,
             pilots,
-            events: m.events.0.unwrap_or_default(),
+            events: l.events.0.unwrap_or_default(),
             end_time,
-            reliability: m.rel,
-            bind: m.stats,
+            reliability: l.rel,
+            bind: l.bind,
         }
     }
 }

@@ -3,13 +3,14 @@
 
 use super::agent::{Agent, Assignment};
 use super::kernel::{TaskError, TaskOutput, WorkKernel};
-use crate::binding::{self, BindStats, PendingQueue};
+use crate::binding::BindStats;
 use crate::describe::{PilotDescription, UnitDescription};
 use crate::events::{EventSink, ProjEvent};
 use crate::ids::{IdGen, PilotId, UnitId};
+use crate::ledger::{Ledger, Retry};
 use crate::metrics::{PilotTimes, UnitRecord, UnitTimes};
-use crate::retry::{streams, FailureTracker, FaultPlan, ReliabilityStats};
-use crate::scheduler::{PilotSnapshot, Scheduler};
+use crate::retry::{FaultPlan, ReliabilityStats};
+use crate::scheduler::Scheduler;
 use crate::state::{PilotState, UnitState};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
@@ -80,10 +81,13 @@ pub(super) enum Msg {
     },
     PilotUp(PilotId),
     PilotExpired(PilotId),
+    /// A unit, stamped `submitted` on the caller's thread: its wait
+    /// includes the time the message sat in the inbox.
     SubmitUnit {
         id: UnitId,
         desc: UnitDescription,
         kernel: Arc<dyn WorkKernel>,
+        submitted: f64,
     },
     CancelPilot(PilotId),
     CancelUnit(UnitId),
@@ -189,44 +193,23 @@ impl Registry {
     }
 }
 
-struct PilotRt {
-    site: SiteId,
-    cores: u32,
-    free_cores: u32,
-    state: PilotState,
-    accepting: bool,
-    drain_to: PilotState,
-    agent: Option<Agent>,
-    bound: usize,
-    deadline: Option<Instant>,
-    walltime: SimDuration,
-}
-
+/// The thread driver's part of a unit.
 struct UnitRt {
-    desc: UnitDescription,
     kernel: Arc<dyn WorkKernel>,
-    state: UnitState,
-    pilot: Option<PilotId>,
     cancel_flag: Arc<AtomicBool>,
-    /// Bumped whenever the manager abandons the current attempt (retry,
-    /// deadline, pilot crash); agent reports and timers with stale
-    /// generations are dropped.
-    generation: u64,
-    /// Failed execution attempts so far (charged against `desc.retry`).
-    attempts: u32,
-    /// When the last failed attempt happened; consumed at the next bind to
-    /// measure time-to-recovery.
-    failed_at: Option<f64>,
-    /// When the current attempt started running (for wasted-work accounting).
-    started_at: Option<f64>,
     /// Fault plan verdict for the current attempt, drawn at bind time: a
     /// doomed attempt runs to completion but its result is replaced with an
     /// injected fault (a kernel cannot be aborted mid-run on real threads).
     doomed: bool,
-    /// A backoff timer is armed; the unit is `Failed` but not terminal.
-    retry_pending: bool,
-    /// When the unit was submitted (read-plane wait-time metric).
-    submitted_at: f64,
+    /// The final attempt's result, until the registry publishes it.
+    output: Option<Result<TaskOutput, TaskError>>,
+}
+
+/// The thread driver's part of a pilot.
+struct PilotRt {
+    agent: Option<Agent>,
+    /// Where a drain ends: `Done` on walltime expiry, `Canceled` on request.
+    drain_to: PilotState,
 }
 
 /// Real-execution Pilot-API service. See the [module docs](super).
@@ -287,23 +270,13 @@ impl ThreadPilotService {
             .name("pilot-manager".into())
             .spawn(move || {
                 Mgr {
-                    scheduler,
-                    pilots: HashMap::new(),
-                    units: HashMap::new(),
-                    pending: PendingQueue::default(),
+                    ledger: Ledger::new(scheduler, SimRng::new(seed), faults),
                     registry: mgr_registry,
                     epoch,
                     inbox,
                     timers: Timers::default(),
-                    shutting_down: false,
                     sched_dirty: false,
-                    faults,
-                    rng: SimRng::new(seed),
-                    tracker: FailureTracker::new(faults.blacklist_after),
-                    rel: ReliabilityStats::default(),
-                    stats: BindStats::default(),
                     sink,
-                    ev: Vec::new(),
                 }
                 .run(rx)
             })
@@ -370,7 +343,12 @@ impl ThreadPilotService {
                 output: None,
             });
         });
-        let _ = self.tx.send(Msg::SubmitUnit { id, desc, kernel });
+        let _ = self.tx.send(Msg::SubmitUnit {
+            id,
+            desc,
+            kernel,
+            submitted: now,
+        });
         id
     }
 
@@ -525,30 +503,21 @@ impl Drop for ThreadPilotService {
 }
 
 /// The Pilot-Manager: one event loop over one inbox and one timer queue,
-/// with no helper threads (see [`run`](Self::run)).
+/// with no helper threads (see [`run`](Self::run)), driving the shared
+/// [`Ledger`] on the wall clock.
 struct Mgr {
-    scheduler: Box<dyn Scheduler>,
-    pilots: HashMap<PilotId, PilotRt>,
-    units: HashMap<UnitId, UnitRt>,
-    pending: PendingQueue,
+    ledger: Ledger<UnitRt, PilotRt>,
     registry: Arc<Registry>,
     epoch: Instant,
     /// A sender into the manager's own inbox, cloned into every agent.
     inbox: Sender<Msg>,
     timers: Timers,
-    shutting_down: bool,
     /// Set by any capacity or queue change; the run loop executes one
     /// batched binding pass per message batch instead of one per event.
     sched_dirty: bool,
-    faults: FaultPlan,
-    rng: SimRng,
-    tracker: FailureTracker,
-    rel: ReliabilityStats,
-    stats: BindStats,
-    /// Read-plane export: transitions buffered per message batch, handed to
-    /// the sink with one `emit_batch` call (`None` disables emission).
+    /// Read-plane export: the ledger's events, handed to the sink with one
+    /// `emit_batch` call per loop iteration (`None` disables emission).
     sink: Option<Arc<dyn EventSink>>,
-    ev: Vec<ProjEvent>,
 }
 
 impl Mgr {
@@ -556,98 +525,61 @@ impl Mgr {
         self.epoch.elapsed().as_secs_f64()
     }
 
-    /// Buffer a read-plane event; a no-op when no sink is attached.
-    fn emit(&mut self, ev: ProjEvent) {
-        if self.sink.is_some() {
-            self.ev.push(ev);
-        }
-    }
-
-    /// Buffer a pilot capacity event from the pilot's current runtime state.
-    fn emit_capacity(&mut self, pid: PilotId, t_s: f64) {
-        if self.sink.is_none() {
+    /// Publish what the ledger recorded since the last flush: one
+    /// `emit_batch` to the sink, then one registry update — the state and
+    /// times of every unit and pilot an event names, a finished unit's
+    /// output — and one wakeup of the blocked waits. Called once per loop
+    /// iteration, so the write path pays one batched hand-off however many
+    /// transitions the batch produced.
+    fn flush(&mut self) {
+        let Some(mut events) = self.ledger.events.0.take_if(|e| !e.is_empty()) else {
             return;
+        };
+        if let Some(sink) = &self.sink {
+            sink.emit_batch(&events);
         }
-        if let Some(p) = self.pilots.get(&pid) {
-            self.ev.push(ProjEvent::PilotCapacity {
-                pilot: pid,
-                free_cores: p.free_cores,
-                total_cores: p.cores,
-                t_s,
-            });
-        }
-    }
-
-    /// The one write of a pilot transition: the registry row (its state and
-    /// the timestamp of entering it) and the matching read-plane event.
-    fn publish_pilot(&mut self, pid: PilotId, state: PilotState, t: f64) {
+        let units = &mut self.ledger.units;
+        let pilots = &self.ledger.pilots;
         self.registry.update(|r| {
-            if let Some(pp) = r.pilots.get_mut(&pid) {
-                PilotState::publish(&mut pp.state, state);
-                match state {
-                    PilotState::Pending => pp.times.submitted = t,
-                    PilotState::Active => pp.times.active = Some(t),
-                    s if s.is_terminal() => pp.times.finished = Some(t),
+            for ev in &events {
+                match *ev {
+                    ProjEvent::Unit { unit, pilot, .. } => {
+                        let (Some(u), Some(up)) = (units.get_mut(&unit), r.units.get_mut(&unit))
+                        else {
+                            continue;
+                        };
+                        UnitState::publish(&mut up.state, u.state);
+                        // The row keeps the last pilot the unit was bound
+                        // to, as the read plane's fold does.
+                        up.pilot = pilot.or(up.pilot);
+                        if up.times.finished.is_none() && u.times.finished.is_some() {
+                            r.open_units -= 1;
+                            up.output = u.x.output.take();
+                        }
+                        up.times = u.times;
+                    }
+                    ProjEvent::Pilot { pilot, .. } => {
+                        if let (Some(p), Some(pp)) = (pilots.get(&pilot), r.pilots.get_mut(&pilot))
+                        {
+                            PilotState::publish(&mut pp.state, p.state);
+                            pp.times = p.times;
+                        }
+                    }
                     _ => {}
                 }
             }
         });
-        self.emit(ProjEvent::Pilot {
-            pilot: pid,
-            state,
-            t_s: t,
-        });
-    }
-
-    /// The one write of a unit transition: the registry row (its state, then
-    /// `edit` for the fields the transition sets) and the matching read-plane
-    /// event carrying `pilot`. The open-unit count drops exactly when the
-    /// row first gets a finish time.
-    fn publish_unit(
-        &mut self,
-        uid: UnitId,
-        state: UnitState,
-        pilot: Option<PilotId>,
-        t: f64,
-        edit: impl FnOnce(&mut UnitPublic),
-    ) {
-        self.registry.update(|r| {
-            if let Some(up) = r.units.get_mut(&uid) {
-                let open = up.times.finished.is_none();
-                UnitState::publish(&mut up.state, state);
-                edit(up);
-                if open && up.times.finished.is_some() {
-                    r.open_units -= 1;
-                }
-            }
-        });
-        self.emit(ProjEvent::Unit {
-            unit: uid,
-            state,
-            pilot,
-            t_s: t,
-        });
-    }
-
-    /// Hand the buffered batch to the sink. Called once per loop iteration
-    /// and once at loop exit — the write path pays one batched append
-    /// regardless of how many transitions the batch produced.
-    fn flush_events(&mut self) {
-        if self.ev.is_empty() {
-            return;
-        }
-        if let Some(sink) = &self.sink {
-            sink.emit_batch(&self.ev);
-        }
-        self.ev.clear();
+        events.clear();
+        self.ledger.events.0 = Some(events);
     }
 
     /// The event loop. It blocks in one place: on the inbox, until a message
     /// arrives or — when a timer is armed — until the earliest one is due.
     /// Each iteration then drains the inbox, fires every timer due by now
     /// (including ones armed while firing, so a zero-delay backoff lands
-    /// before the pass), runs one binding pass and one sink flush. A busy
-    /// inbox can delay a timer by one iteration, never more.
+    /// before the pass), runs one binding pass, ends the pilots whose drain
+    /// completed, and flushes once. A busy inbox can delay a timer by one
+    /// iteration, never more.
     fn run(mut self, rx: Receiver<Msg>) {
         loop {
             // `self.inbox` is a live sender, so the inbox never disconnects.
@@ -671,35 +603,28 @@ impl Mgr {
             }
             if self.sched_dirty {
                 self.sched_dirty = false;
-                self.bind_pass();
+                self.bind_and_dispatch();
             }
-            self.flush_events();
-            if self.shutting_down && self.all_quiet() {
+            self.end_drained();
+            self.flush();
+            if self.ledger.closed && self.ledger.pilots.values().all(|p| p.bound == 0) {
                 break;
             }
         }
         // Tear down agents. Detach instead of join: a kernel that ignored
         // its deadline may still occupy a worker, and joining it would wedge
-        // shutdown — the drain gate (`all_quiet`) already guaranteed no
-        // accounted work remains. Armed timers are dropped with `self`.
-        for (_, p) in self.pilots.iter_mut() {
-            if let Some(agent) = p.agent.take() {
-                agent.stop();
-                agent.detach();
-            }
+        // shutdown — the drain gate above already guaranteed no accounted
+        // work remains. Armed timers are dropped with `self`.
+        let pids: Vec<PilotId> = self.ledger.pilots.keys().copied().collect();
+        for pid in pids {
+            self.stop_agent(pid);
         }
         // Publish the reliability and binding counters for the final report.
-        self.flush_events();
-        let rel = self.rel.clone();
-        let bind = self.stats;
+        let (rel, bind) = (self.ledger.rel.clone(), self.ledger.bind);
         self.registry.update(|r| {
             r.rel = rel;
             r.bind = bind;
         });
-    }
-
-    fn all_quiet(&self) -> bool {
-        self.pilots.values().all(|p| p.bound == 0)
     }
 
     fn on_msg(&mut self, msg: Msg) {
@@ -707,14 +632,47 @@ impl Mgr {
             Msg::SubmitPilot { id, desc, site } => self.submit_pilot(id, desc, site),
             Msg::PilotUp(id) => self.pilot_up(id),
             Msg::PilotExpired(id) => self.teardown_pilot(id, PilotState::Done),
-            Msg::SubmitUnit { id, desc, kernel } => self.submit_unit(id, desc, kernel),
+            Msg::SubmitUnit {
+                id,
+                desc,
+                kernel,
+                submitted,
+            } => {
+                let x = UnitRt {
+                    kernel,
+                    cancel_flag: Arc::default(),
+                    doomed: false,
+                    output: None,
+                };
+                self.ledger.add_unit(id, desc, x);
+                self.ledger.submit(id, submitted);
+                self.sched_dirty = true;
+            }
             Msg::CancelPilot(id) => self.teardown_pilot(id, PilotState::Canceled),
             Msg::CancelUnit(id) => self.cancel_unit(id),
-            Msg::UnitDeadline(id, gen) => self.unit_deadline(id, gen),
-            Msg::RetryRelease(id, gen) => self.release_retry(id, gen),
+            Msg::UnitDeadline(id, gen) => {
+                // The kernel keeps its worker until it returns; its report
+                // is then dropped as stale.
+                if self.ledger.is_current(id, gen, UnitState::Running) {
+                    self.ledger.rel.deadline_expirations += 1;
+                    let retry = self.ledger.fail_attempt(id, self.now());
+                    self.after_failure(id, retry, "deadline exceeded");
+                }
+            }
+            Msg::RetryRelease(id, gen) => {
+                if self.ledger.release(id, gen, self.now()) {
+                    self.sched_dirty = true;
+                }
+            }
             Msg::PilotCrash(id) => self.crash_pilot(id),
             Msg::Shutdown => self.begin_shutdown(),
-            Msg::Started { unit, gen, t } => self.unit_started(unit, gen, t),
+            Msg::Started { unit, gen, t } => {
+                if self.ledger.start(unit, gen, t) {
+                    if let Some(d) = self.ledger.units.get(&unit).and_then(|u| u.desc.deadline_s) {
+                        self.timers.after(d, Msg::UnitDeadline(unit, gen));
+                    }
+                }
+            }
             Msg::Finished {
                 unit,
                 gen,
@@ -722,32 +680,23 @@ impl Mgr {
                 result,
             } => self.unit_finished(unit, gen, t, result),
             Msg::Skipped { unit, gen, t } => {
-                if self.units.get(&unit).is_some_and(|u| u.generation == gen) {
-                    self.finish_unit(unit, t, UnitState::Canceled, None);
+                if self.ledger.is_current(unit, gen, UnitState::Assigned) {
+                    self.ledger.finish(unit, UnitState::Canceled, t);
+                    self.sched_dirty = true;
                 }
             }
         }
     }
 
     fn submit_pilot(&mut self, id: PilotId, desc: PilotDescription, site: SiteId) {
-        let now = self.now();
-        let cores = desc.cores.max(1);
-        self.pilots.insert(
-            id,
-            PilotRt {
-                site,
-                cores,
-                free_cores: cores,
-                state: PilotState::Pending,
-                accepting: true,
-                drain_to: PilotState::Done,
-                agent: None,
-                bound: 0,
-                deadline: None,
-                walltime: desc.walltime,
-            },
-        );
-        self.publish_pilot(id, PilotState::Pending, now);
+        let walltime_s = (desc.walltime != SimDuration::MAX).then(|| desc.walltime.as_secs_f64());
+        let x = PilotRt {
+            agent: None,
+            drain_to: PilotState::Done,
+        };
+        self.ledger
+            .add_pilot(id, site, desc.cores.max(1), walltime_s, x);
+        self.ledger.submit_pilot(id, self.now());
         if desc.startup_delay_s > 0.0 {
             self.timers.after(desc.startup_delay_s, Msg::PilotUp(id));
         } else {
@@ -756,218 +705,50 @@ impl Mgr {
     }
 
     fn pilot_up(&mut self, id: PilotId) {
-        let now = self.now();
-        let Some(p) = self.pilots.get_mut(&id) else {
+        let Some(p) = self.ledger.pilots.get(&id) else {
             return;
         };
         if p.state != PilotState::Pending {
             return; // canceled before startup
         }
-        PilotState::advance(&mut p.state, PilotState::Active);
-        p.agent = Some(Agent::new(id, p.cores, self.epoch, self.inbox.clone()));
-        // Arm the walltime only for finite requests.
-        if p.walltime != SimDuration::MAX {
-            p.deadline = self
-                .timers
-                .after(p.walltime.as_secs_f64(), Msg::PilotExpired(id));
+        let (cores, walltime_s) = (p.capacity, p.walltime_s);
+        self.ledger.capacity_up(id, cores, self.now());
+        let agent = Agent::new(id, cores, self.epoch, self.inbox.clone());
+        if let Some(p) = self.ledger.pilots.get_mut(&id) {
+            p.x.agent = Some(agent);
         }
-        // Arm the injected crash clock: one exponential draw from a stream
-        // keyed by pilot id, so the same seed schedules the same crashes
-        // (subject to wall-clock jitter in when the timer actually lands).
-        if let Some(mtbf) = self.faults.pilot_crash_mtbf_s {
-            let ttf = self
-                .rng
-                .stream(streams::keyed(streams::PILOT_CRASH, id.0, 0))
-                .exponential(mtbf);
+        if let Some(w) = walltime_s {
+            self.timers.after(w, Msg::PilotExpired(id));
+        }
+        // The injected crash clock lands on the wall clock, so when it fires
+        // jitters; which pilots crash, and after how long, does not.
+        if let Some(ttf) = self.ledger.crash_after_s(id) {
             self.timers.after(ttf, Msg::PilotCrash(id));
         }
-        self.publish_pilot(id, PilotState::Active, now);
-        self.emit_capacity(id, now);
-        self.schedule();
-    }
-
-    fn submit_unit(&mut self, id: UnitId, desc: UnitDescription, kernel: Arc<dyn WorkKernel>) {
-        let now = self.now();
-        if self.shutting_down {
-            // Refuse late submissions; the finish time closes the unit's
-            // open-unit slot.
-            self.publish_unit(id, UnitState::Canceled, None, now, |up| {
-                up.times = UnitTimes {
-                    submitted: now,
-                    finished: Some(now),
-                    ..Default::default()
-                };
-            });
-            return;
-        }
-        let (priority, cores) = (desc.priority, desc.cores);
-        self.units.insert(
-            id,
-            UnitRt {
-                desc,
-                kernel,
-                state: UnitState::Pending,
-                pilot: None,
-                cancel_flag: Arc::new(AtomicBool::new(false)),
-                generation: 0,
-                attempts: 0,
-                failed_at: None,
-                started_at: None,
-                doomed: false,
-                retry_pending: false,
-                submitted_at: now,
-            },
-        );
-        self.pending.push(id, priority, cores);
-        self.publish_unit(id, UnitState::Pending, None, now, |up| {
-            up.times = UnitTimes {
-                submitted: now,
-                ..Default::default()
-            };
-        });
-        self.schedule();
-    }
-
-    /// Request a late-binding pass. Passes run batched from the event loop
-    /// (one per loop iteration), not inline per capacity change.
-    fn schedule(&mut self) {
         self.sched_dirty = true;
     }
 
-    /// One late-binding pass: build the pilot snapshots once, offer — in
-    /// priority order — the pending units whose core demand fits some
-    /// snapshot, and apply capacity deltas to the in-memory snapshots after
-    /// each bind. Units that fit nowhere are not touched, so the pass costs
-    /// what it binds, not what is queued; placements match the old
-    /// rebuild-per-bind loop (see `crate::binding`).
-    fn bind_pass(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        // Pending pilots are visible with zero free cores so that
-        // delay-scheduling policies (data-aware) can wait for capacity
-        // that is already on its way instead of binding remotely.
-        let mut snapshots: Vec<PilotSnapshot> = self
-            .pilots
-            .iter()
-            .filter(|(id, p)| {
-                ((p.state == PilotState::Active && p.accepting) || p.state == PilotState::Pending)
-                    && !self.tracker.is_blacklisted(**id)
-            })
-            .map(|(&id, p)| PilotSnapshot {
-                pilot: id,
-                site: p.site,
-                total_cores: p.cores,
-                free_cores: if p.state == PilotState::Pending {
-                    0
-                } else {
-                    p.free_cores
-                },
-                bound_units: p.bound,
-                remaining_walltime_s: p
-                    .deadline
-                    .map(|d| d.saturating_duration_since(Instant::now()).as_secs_f64())
-                    .unwrap_or(f64::INFINITY),
-            })
-            .collect();
-        if snapshots.is_empty() {
-            return;
-        }
-        // Deterministic candidate order (HashMap iteration above is not).
-        snapshots.sort_by_key(|s| s.pilot.0);
-        // The shared queue pass (also driven by the sim backend and the
-        // fabric host daemons) decides placements against the snapshot
-        // vector; binds are committed afterwards so the unit table stays
-        // borrowed shared during the scheduler's scan.
-        let units = &self.units;
-        let outcome = binding::queue_pass(
-            self.scheduler.as_mut(),
-            &mut snapshots,
-            &mut self.pending,
-            |uid| {
-                units
-                    .get(&uid)
-                    .filter(|u| u.state == UnitState::Pending)
-                    .map(|u| &u.desc)
-            },
-        );
-        self.stats
-            .note_pass(snapshots.len(), outcome.offered, outcome.binds.len() as u64);
-        for (uid, pid) in outcome.binds {
-            self.bind(uid, pid);
-        }
-    }
-
-    fn bind(&mut self, uid: UnitId, pid: PilotId) {
+    /// One late-binding pass; each bind's attempt draws its fault verdict
+    /// and goes to the pilot's agent.
+    fn bind_and_dispatch(&mut self) {
         let now = self.now();
-        // The bind pass only offers live pending units to live pilots, so the
-        // lookups below cannot miss; if they ever do, skipping the bind keeps
-        // the service alive (the unit stays pending) instead of poisoning the
-        // manager thread.
-        let Some(unit) = self.units.get_mut(&uid) else {
-            debug_assert!(false, "bind: pending unit {uid} vanished");
-            return;
-        };
-        UnitState::advance(&mut unit.state, UnitState::Assigned);
-        unit.pilot = Some(pid);
-        // A bind following a failed attempt completes a recovery.
-        if let Some(f) = unit.failed_at.take() {
-            self.rel.recovery_s += now - f;
-            self.rel.recoveries += 1;
-        }
-        let cores = unit.desc.cores;
-        let attempts = unit.attempts;
-        // Draw the fault-plan verdict for this attempt up front: a doomed
-        // kernel runs (wasting its wall-clock work) but reports an injected
-        // fault instead of its result.
-        let mut fault_rng = self
-            .rng
-            .stream(streams::keyed(streams::UNIT_FAULT, uid.0, attempts));
-        unit.doomed =
-            self.faults.unit_failure_p > 0.0 && fault_rng.bool(self.faults.unit_failure_p);
-        let assignment = Assignment {
-            unit: uid,
-            gen: unit.generation,
-            cores,
-            kernel: Arc::clone(&unit.kernel),
-            cancel_flag: Arc::clone(&unit.cancel_flag),
-        };
-        let Some(p) = self.pilots.get_mut(&pid) else {
-            debug_assert!(false, "bind: scheduler returned dead pilot {pid}");
-            return;
-        };
-        assert!(
-            p.free_cores >= cores,
-            "scheduler over-committed pilot {pid}"
-        );
-        p.free_cores -= cores;
-        p.bound += 1;
-        let Some(agent) = p.agent.as_ref() else {
-            debug_assert!(false, "bind: active pilot {pid} has no agent");
-            return;
-        };
-        agent.submit(assignment);
-        self.publish_unit(uid, UnitState::Assigned, Some(pid), now, |up| {
-            up.pilot = Some(pid);
-            up.times.bound = Some(now);
-        });
-        self.emit_capacity(pid, now);
-    }
-
-    /// Agent report: the attempt started; arms its execution deadline.
-    fn unit_started(&mut self, uid: UnitId, gen: u64, t: f64) {
-        let Some(u) = self.units.get_mut(&uid).filter(|u| u.generation == gen) else {
-            return; // attempt already abandoned
-        };
-        UnitState::advance(&mut u.state, UnitState::Running);
-        u.started_at = Some(t);
-        let pilot = u.pilot;
-        if let Some(deadline_s) = u.desc.deadline_s {
-            self.timers.after(deadline_s, Msg::UnitDeadline(uid, gen));
-        }
-        self.rel.attempts += 1;
-        self.publish_unit(uid, UnitState::Running, pilot, t, |up| {
-            up.times.started = Some(t);
+        self.ledger.bind_pass(now, |l, uid, pid| {
+            let doomed = l.doomed(uid).is_some();
+            let (Some(u), Some(p)) = (l.units.get_mut(&uid), l.pilots.get(&pid)) else {
+                return;
+            };
+            let Some(agent) = p.x.agent.as_ref() else {
+                debug_assert!(false, "bind: active pilot {pid} has no agent");
+                return;
+            };
+            u.x.doomed = doomed;
+            agent.submit(Assignment {
+                unit: uid,
+                gen: u.generation,
+                cores: u.desc.cores,
+                kernel: Arc::clone(&u.x.kernel),
+                cancel_flag: Arc::clone(&u.x.cancel_flag),
+            });
         });
     }
 
@@ -978,325 +759,133 @@ impl Mgr {
         uid: UnitId,
         gen: u64,
         t: f64,
-        mut result: Result<TaskOutput, TaskError>,
+        result: Result<TaskOutput, TaskError>,
     ) {
-        let Some(u) = self.units.get_mut(&uid).filter(|u| u.generation == gen) else {
+        let Some(u) = self
+            .ledger
+            .units
+            .get_mut(&uid)
+            .filter(|u| u.generation == gen && u.state == UnitState::Running)
+        else {
             return; // attempt already abandoned
         };
-        if u.doomed && result.is_ok() {
-            self.rel.injected_unit_faults += 1;
-            result = Err(TaskError("injected fault".into()));
-        }
-        if result.is_ok() {
-            if let Some(pid) = u.pilot {
-                self.tracker.record_success(pid);
+        match result {
+            Ok(_) if u.x.doomed => {
+                self.ledger.rel.injected_unit_faults += 1;
+                let retry = self.ledger.fail_attempt(uid, t);
+                self.after_failure(uid, retry, "injected fault");
             }
-            self.finish_unit(uid, t, UnitState::Done, Some(result));
-        } else {
-            self.fail_attempt(uid, t, Some(result));
+            Ok(_) => {
+                u.x.output = Some(result);
+                self.ledger.finish(uid, UnitState::Done, t);
+                self.sched_dirty = true;
+            }
+            Err(e) => {
+                let retry = self.ledger.fail_attempt(uid, t);
+                self.after_failure(uid, retry, &e.0);
+            }
         }
     }
 
-    /// One execution attempt failed (kernel error, injected fault, deadline
-    /// expiry, or pilot crash mid-run). Charges the retry budget and either
-    /// arms a backoff timer for a `Failed → Pending` re-bind or fails the
-    /// unit terminally once the budget is exhausted.
-    fn fail_attempt(&mut self, uid: UnitId, t: f64, output: Option<Result<TaskOutput, TaskError>>) {
-        let Some(u) = self.units.get_mut(&uid) else {
-            return;
-        };
-        u.generation += 1;
-        u.attempts += 1;
-        UnitState::advance(&mut u.state, UnitState::Failed);
-        u.doomed = false;
-        if let Some(s) = u.started_at.take() {
-            self.rel.wasted_work_s += t - s;
-        }
-        let pilot = u.pilot.take();
-        let (cores, retry, attempts) = (u.desc.cores, u.desc.retry, u.attempts);
-        let retrying = !self.shutting_down && retry.allows_retry(attempts);
-        if retrying {
-            u.failed_at = Some(t);
-            u.retry_pending = true;
-            self.rel.requeues += 1;
-            let mut jitter =
-                self.rng
-                    .stream(streams::keyed(streams::BACKOFF_JITTER, uid.0, attempts));
-            let delay = retry.delay_s(attempts, &mut jitter);
-            self.timers
-                .after(delay, Msg::RetryRelease(uid, u.generation));
-        } else {
-            self.rel.exhausted_units += 1;
-        }
-        if let Some(pid) = pilot {
-            if let Some(p) = self.pilots.get_mut(&pid) {
-                if p.state == PilotState::Active {
-                    p.free_cores += cores;
+    /// After a failed attempt: arm the granted retry's backoff, or keep the
+    /// error as the output of a unit that failed for good.
+    fn after_failure(&mut self, uid: UnitId, retry: Option<Retry>, error: &str) {
+        match retry {
+            Some(r) => {
+                self.timers.after(r.after_s, Msg::RetryRelease(uid, r.gen));
+            }
+            None => {
+                if let Some(u) = self.ledger.units.get_mut(&uid) {
+                    u.x.output = Some(Err(TaskError(error.to_string())));
                 }
-                p.bound = p.bound.saturating_sub(1);
             }
-            if self.tracker.record_failure(pid) {
-                self.rel.blacklisted_pilots += 1;
-            }
-            self.emit_capacity(pid, t);
         }
-        // During backoff the unit shows `Failed` without a finish time, so
-        // `wait_unit` keeps blocking until a terminal attempt finishes.
-        self.publish_unit(uid, UnitState::Failed, None, t, |up| {
-            if retrying {
-                up.pilot = None;
-                up.times.bound = None;
-                up.times.started = None;
-            } else {
-                up.times.finished = Some(t);
-                up.output = output;
-            }
-        });
-        if let Some(pid) = pilot {
-            self.maybe_finalize_pilot(pid);
-        }
-        self.schedule();
-    }
-
-    /// Deadline timer fired: if the attempt it belongs to is still running,
-    /// abandon it (the kernel keeps its worker until it returns, but its
-    /// report will be dropped by the generation guard).
-    fn unit_deadline(&mut self, uid: UnitId, gen: u64) {
-        let Some(u) = self.units.get(&uid) else {
-            return;
-        };
-        if u.generation != gen || u.state != UnitState::Running {
-            return;
-        }
-        self.rel.deadline_expirations += 1;
-        let t = self.now();
-        self.fail_attempt(uid, t, Some(Err(TaskError("deadline exceeded".into()))));
-    }
-
-    /// Backoff elapsed: the retry edge, `Failed → Pending`, back into the
-    /// late-binding queue.
-    fn release_retry(&mut self, uid: UnitId, gen: u64) {
-        let Some(u) = self.units.get_mut(&uid) else {
-            return;
-        };
-        if u.generation != gen || !u.retry_pending {
-            return;
-        }
-        u.retry_pending = false;
-        let now = self.now();
-        self.requeue(uid, now);
-    }
-
-    /// Put a unit that holds no running attempt back into the late-binding
-    /// queue.
-    fn requeue(&mut self, uid: UnitId, t: f64) {
-        let Some(u) = self.units.get_mut(&uid) else {
-            return;
-        };
-        UnitState::advance(&mut u.state, UnitState::Pending);
-        u.pilot = None;
-        self.pending.push(uid, u.desc.priority, u.desc.cores);
-        self.publish_unit(uid, UnitState::Pending, None, t, |up| {
-            up.pilot = None;
-            up.times.bound = None;
-        });
-        self.schedule();
+        self.sched_dirty = true;
     }
 
     /// Injected pilot crash: the pilot is lost immediately. Running units
     /// lose their attempt (retry budget applies); assigned-but-not-started
     /// units re-enter the queue for free.
     fn crash_pilot(&mut self, pid: PilotId) {
-        let Some(p) = self.pilots.get_mut(&pid) else {
-            return;
-        };
-        if p.state != PilotState::Active {
+        let now = self.now();
+        if !self.ledger.crash(pid, now) {
             return;
         }
-        PilotState::advance(&mut p.state, PilotState::Failed);
-        p.accepting = false;
-        p.free_cores = 0;
-        p.bound = 0;
-        if let Some(agent) = p.agent.take() {
+        self.stop_agent(pid);
+        for (uid, retry) in self.ledger.sweep(pid, now) {
+            self.after_failure(uid, retry, "pilot crash");
+        }
+        self.sched_dirty = true;
+    }
+
+    fn stop_agent(&mut self, pid: PilotId) {
+        if let Some(agent) = self
+            .ledger
+            .pilots
+            .get_mut(&pid)
+            .and_then(|p| p.x.agent.take())
+        {
             agent.stop();
+            // Detach, don't join: a deadline-abandoned kernel may still hold
+            // a worker even though the pilot's accounting is clear.
             agent.detach();
         }
-        self.rel.pilot_crashes += 1;
-        let now = self.now();
-        self.publish_pilot(pid, PilotState::Failed, now);
-        self.emit_capacity(pid, now);
-        let mut bound: Vec<(UnitId, UnitState)> = self
-            .units
-            .iter()
-            .filter(|(_, u)| {
-                u.pilot == Some(pid) && matches!(u.state, UnitState::Assigned | UnitState::Running)
-            })
-            .map(|(&id, u)| (id, u.state))
-            .collect();
-        bound.sort_by_key(|(u, _)| u.0);
-        for (uid, state) in bound {
-            if state == UnitState::Running {
-                self.fail_attempt(uid, now, Some(Err(TaskError("pilot crash".into()))));
-            } else if let Some(u) = self.units.get_mut(&uid) {
-                // Planned re-bind: no work lost, not charged against retries.
-                u.generation += 1;
-                self.rel.rebinds += 1;
-                self.requeue(uid, now);
-            }
-        }
-        self.schedule();
     }
 
-    fn finish_unit(
-        &mut self,
-        uid: UnitId,
-        t: f64,
-        state: UnitState,
-        output: Option<Result<TaskOutput, TaskError>>,
-    ) {
-        let Some(u) = self.units.get_mut(&uid) else {
-            return;
-        };
-        UnitState::advance(&mut u.state, state);
-        let pilot = u.pilot;
-        let cores = u.desc.cores;
-        let submitted_at = u.submitted_at;
-        let started_at = u.started_at;
-        if let Some(pid) = pilot {
-            if let Some(p) = self.pilots.get_mut(&pid) {
-                p.free_cores += cores;
-                p.bound -= 1;
-            }
-        }
-        self.publish_unit(uid, state, pilot, t, |up| {
-            up.times.finished = Some(t);
-            up.output = output;
-        });
-        if let Some(pid) = pilot {
-            self.emit_capacity(pid, t);
-        }
-        if state == UnitState::Done {
-            let started = started_at.unwrap_or(t);
-            self.emit(ProjEvent::UnitMetric {
-                unit: uid,
-                wait_s: (started - submitted_at).max(0.0),
-                exec_s: (t - started).max(0.0),
-                t_s: t,
-            });
-        }
-        // A draining pilot with nothing left finalizes now.
-        if let Some(pid) = pilot {
-            self.maybe_finalize_pilot(pid);
-        }
-        self.schedule();
-    }
-
+    /// Walltime expiry or cancellation: a pilot that never started ends
+    /// now; an active one stops accepting units and drains.
     fn teardown_pilot(&mut self, pid: PilotId, to: PilotState) {
-        let Some(p) = self.pilots.get_mut(&pid) else {
+        let now = self.now();
+        let Some(p) = self.ledger.pilots.get_mut(&pid) else {
             return;
         };
         match p.state {
             PilotState::Pending => {
-                // A pilot torn down before ever activating did no work, so it
-                // ends `Canceled` regardless of the requested drain target
-                // (`Pending -> Done` is not an edge in the P* machine).
-                let end = if to == PilotState::Done {
-                    PilotState::Canceled
-                } else {
-                    to
-                };
-                PilotState::advance(&mut p.state, end);
-                let now = self.now();
-                self.publish_pilot(pid, end, now);
+                self.ledger.end_pilot(pid, to, now);
             }
             PilotState::Active => {
                 p.accepting = false;
-                p.drain_to = to;
-                self.maybe_finalize_pilot(pid);
+                p.x.drain_to = to;
             }
             _ => {}
         }
     }
 
-    fn maybe_finalize_pilot(&mut self, pid: PilotId) {
-        let Some(p) = self.pilots.get_mut(&pid) else {
-            return;
-        };
-        if p.state == PilotState::Active && !p.accepting && p.bound == 0 {
-            let to = p.drain_to;
-            PilotState::advance(&mut p.state, to);
-            if let Some(agent) = p.agent.take() {
-                agent.stop();
-                // Detach, don't join: a deadline-abandoned kernel may still
-                // hold a worker even though the pilot's accounting is clear.
-                agent.detach();
-            }
-            let now = self.now();
-            self.publish_pilot(pid, to, now);
+    /// End every draining pilot that has nothing bound any more.
+    fn end_drained(&mut self) {
+        let drained: Vec<(PilotId, PilotState)> = self
+            .ledger
+            .pilots
+            .iter()
+            .filter(|(_, p)| p.state == PilotState::Active && !p.accepting && p.bound == 0)
+            .map(|(&id, p)| (id, p.x.drain_to))
+            .collect();
+        for (pid, to) in drained {
+            self.ledger.end_pilot(pid, to, self.now());
+            self.stop_agent(pid);
         }
     }
 
     fn cancel_unit(&mut self, uid: UnitId) {
-        let Some(u) = self.units.get(&uid) else {
+        let Some(u) = self.ledger.units.get(&uid) else {
             return;
         };
         if u.state == UnitState::Assigned {
             // The agent will observe the flag and skip.
-            u.cancel_flag.store(true, Ordering::Release);
-        } else if u.state == UnitState::Pending || u.retry_pending {
-            let now = self.now();
-            self.cancel_waiting(uid, now);
+            u.x.cancel_flag.store(true, Ordering::Release);
+        } else {
+            // Queued or in a backoff; running or terminal: cooperative
+            // semantics, no-op.
+            self.ledger.cancel(uid, self.now());
         }
-        // Running or terminal: cooperative semantics, no-op.
     }
 
-    /// Cancel a unit that holds no pilot: queued (its queue entry goes stale
-    /// and is skipped when drawn — lazy deletion) or waiting out a backoff
-    /// (the granted retry is withdrawn; the machine has no `Failed ->
-    /// Canceled` edge, so the unit re-enters `Pending` and is canceled from
-    /// there).
-    fn cancel_waiting(&mut self, uid: UnitId, t: f64) {
-        let Some(u) = self.units.get_mut(&uid) else {
-            return;
-        };
-        if u.retry_pending {
-            u.retry_pending = false;
-            u.generation += 1;
-            UnitState::advance(&mut u.state, UnitState::Pending);
-        }
-        UnitState::advance(&mut u.state, UnitState::Canceled);
-        self.publish_unit(uid, UnitState::Canceled, None, t, |up| {
-            up.times.finished = Some(t);
-        });
-    }
-
+    /// Cancel everything still waiting for a pilot, including units in a
+    /// retry backoff (their timers fire into a closed generation), and drain
+    /// every pilot.
     fn begin_shutdown(&mut self) {
-        self.shutting_down = true;
-        // Cancel everything still waiting for a pilot, including units in a
-        // retry backoff (their timers fire into a closed generation). Stale
-        // queue entries (units that already left `Pending`) are filtered out.
-        let mut waiting: Vec<UnitId> = self
-            .pending
-            .drain()
-            .into_iter()
-            .filter(|uid| {
-                self.units
-                    .get(uid)
-                    .is_some_and(|u| u.state == UnitState::Pending)
-            })
-            .collect();
-        waiting.extend(
-            self.units
-                .iter()
-                .filter(|(_, u)| u.retry_pending)
-                .map(|(&uid, _)| uid),
-        );
-        let now = self.now();
-        for uid in waiting {
-            self.cancel_waiting(uid, now);
-        }
-        // Drain all pilots.
-        let pids: Vec<PilotId> = self.pilots.keys().copied().collect();
+        self.ledger.close(self.now());
+        let pids: Vec<PilotId> = self.ledger.pilots.keys().copied().collect();
         for pid in pids {
             self.teardown_pilot(pid, PilotState::Done);
         }

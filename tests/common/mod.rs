@@ -3,6 +3,7 @@
 //! and digesting a DES run so a scenario's outcome can be pinned.
 
 use pilot_abstraction::core::events::{unit_state_code, ProjEvent, UNIT_STATE_COUNT};
+use pilot_abstraction::core::metrics::UnitTimes;
 use pilot_abstraction::core::sim::SimReport;
 use pilot_abstraction::core::state::UnitState;
 use pilot_abstraction::query::QueryTables;
@@ -82,7 +83,7 @@ pub(crate) fn requeues(events: &[ProjEvent]) -> usize {
 
 /// Fold a DES run's events and check that the tables say what its report
 /// says: each submitted unit's state, each done unit's pilot, each pilot's
-/// state, the per-state unit counts, and the execution metrics.
+/// state, the per-state unit counts, and the wait and execution metrics.
 pub(crate) fn assert_fold_matches(report: &SimReport) {
     let tables = fold(&report.events);
     let mut by_state = [0u64; UNIT_STATE_COUNT];
@@ -111,11 +112,24 @@ pub(crate) fn assert_fold_matches(report: &SimReport) {
     assert_eq!(tables.pilot_count(), report.pilots.len(), "folded pilots");
     let dash = tables.dashboard();
     assert_eq!(dash.units_by_state, by_state, "per-state unit counts");
-    let done = report.done_unit_times();
+    assert_metric_sums(&tables, &report.done_unit_times());
+}
+
+/// The folded `UnitMetric`s say what the done units' timestamps say: one
+/// metric per unit, wait summed as submit → bind and execution as start →
+/// finish, to 1e-6 s (the fold sums whole nanoseconds).
+pub(crate) fn assert_metric_sums(tables: &QueryTables, done: &[UnitTimes]) {
+    let dash = tables.dashboard();
     assert_eq!(
         dash.exec_count,
         done.len() as u64,
         "one metric per done unit"
+    );
+    let wait_s: f64 = done.iter().filter_map(|t| t.wait()).sum();
+    assert!(
+        (dash.wait_sum_s() - wait_s).abs() < 1e-6,
+        "wait-time sum: folded {} vs report {wait_s}",
+        dash.wait_sum_s()
     );
     let exec_s: f64 = done.iter().filter_map(|t| t.execution()).sum();
     assert!(

@@ -48,11 +48,16 @@ fn sim_events() -> Vec<ProjEvent> {
     report.events
 }
 
+/// The fabric's events. Its `UnitMetric.wait_s` is still a constant 0
+/// (`fabric/controller.rs`, `ToController::UnitDone`) and its report keeps
+/// no per-unit times, so only the counts below are compared for it.
 fn fabric_events() -> Vec<ProjEvent> {
     let units = (0..UNITS).map(|_| (UnitDescription::new(1), 3)).collect();
     Fabric::run(&FabricConfig::default(), units).events
 }
 
+/// The thread service's events, checked against its own report: the
+/// folded wait and execution sums match the done units' timestamps.
 fn thread_events() -> Vec<ProjEvent> {
     let sink = Arc::new(VecSink::default());
     let svc = ThreadPilotService::with_sink(Box::new(FirstFitScheduler), sink.clone());
@@ -65,8 +70,9 @@ fn thread_events() -> Vec<ProjEvent> {
         );
     }
     svc.wait_all_units();
-    svc.shutdown();
+    let report = svc.shutdown();
     let events = sink.0.lock().unwrap().clone();
+    common::assert_metric_sums(&common::fold(&events), &report.done_unit_times());
     events
 }
 
