@@ -171,10 +171,11 @@ impl<U, P> Ledger<U, P> {
         self.tracker = FailureTracker::new(faults.blacklist_after);
     }
 
-    pub(crate) fn unit(&self, id: UnitId) -> Option<&Unit<U>> {
-        self.units.get(&id)
-    }
-
+    // The DES driver (a `// lint: deterministic` module) looks pilots up
+    // through this rather than `pilots.get`: pilot-lint types a field
+    // declared `Ledger<Dist, SimPilot>` by its last workspace type, so a
+    // `.get` on the map behind it falls back to every `get` in the
+    // workspace, clock-reading ones included.
     pub(crate) fn pilot(&self, id: PilotId) -> Option<&Pilot<P>> {
         self.pilots.get(&id)
     }
@@ -293,7 +294,8 @@ impl<U, P> Ledger<U, P> {
                 .into_iter()
                 .map(|(uid, _)| (self.units[&uid].times.started.unwrap_or(f64::MAX), uid))
                 .collect();
-            victims.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1 .0.cmp(&b.1 .0)));
+            // Stable: equal start times keep `bound_to`'s id order.
+            victims.sort_by(|a, b| b.0.total_cmp(&a.0));
             for (_, uid) in victims {
                 if self.pilots.get(&id).is_none_or(|p| p.used <= total) {
                     break;
@@ -394,11 +396,16 @@ impl<U, P> Ledger<U, P> {
         true
     }
 
-    /// A bound unit begins staging its inputs.
-    pub(crate) fn stage(&mut self, uid: UnitId, now: f64) {
-        if let Some(u) = self.units.get_mut(&uid) {
-            self.events.unit(now, uid, u, UnitState::Staging);
-        }
+    /// A unit just bound to `pid` begins staging its inputs; returns both.
+    pub(crate) fn stage(
+        &mut self,
+        uid: UnitId,
+        pid: PilotId,
+        now: f64,
+    ) -> Option<(&Unit<U>, &Pilot<P>)> {
+        let u = self.units.get_mut(&uid)?;
+        self.events.unit(now, uid, u, UnitState::Staging);
+        Some((u, self.pilots.get(&pid)?))
     }
 
     /// Whether `gen` is still the current attempt of `uid`, in `state`.
@@ -408,37 +415,29 @@ impl<U, P> Ledger<U, P> {
             .is_some_and(|u| u.generation == gen && u.state == state)
     }
 
-    /// Attempt `gen` of a bound unit starts running at `now`; false if the
-    /// attempt was abandoned.
-    pub(crate) fn start(&mut self, uid: UnitId, gen: u64, now: f64) -> bool {
-        let Some(u) = self.units.get_mut(&uid).filter(|u| {
+    /// Attempt `gen` of a bound unit starts running at `now`; returns the
+    /// unit, or `None` if the attempt was abandoned.
+    pub(crate) fn start(&mut self, uid: UnitId, gen: u64, now: f64) -> Option<&Unit<U>> {
+        let u = self.units.get_mut(&uid).filter(|u| {
             u.generation == gen && matches!(u.state, UnitState::Assigned | UnitState::Staging)
-        }) else {
-            return false;
-        };
+        })?;
         self.events.unit(now, uid, u, UnitState::Running);
         u.times.started = Some(now);
         self.rel.attempts += 1;
-        true
+        Some(u)
     }
 
-    /// The fault plan's verdict on the current attempt of `uid`: when it is
-    /// doomed, its keyed stream, positioned after the verdict's draw.
-    pub(crate) fn doomed(&self, uid: UnitId) -> Option<SimRng> {
-        let u = self.units.get(&uid)?;
-        let p = self.faults.unit_failure_p;
-        let mut rng = self
-            .rng
-            .stream(streams::keyed(streams::UNIT_FAULT, uid.0, u.attempts));
-        (p > 0.0 && rng.bool(p)).then_some(rng)
-    }
-
-    /// A bound unit ends in `state` at `now`: `Done` (with its
-    /// `UnitMetric`: wait is submit → bind, execution start → finish), or
-    /// `Canceled` before it ran. Its cores go back to the pilot.
-    pub(crate) fn finish(&mut self, uid: UnitId, state: UnitState, now: f64) {
-        let Some(u) = self.units.get_mut(&uid) else {
-            return;
+    /// Attempt `gen` of a bound unit ends in `state` at `now`: `Done` (with
+    /// its `UnitMetric`: wait is submit → bind, execution start → finish),
+    /// or `Canceled` before it ran. Its cores go back to the pilot. False if
+    /// the attempt was abandoned.
+    pub(crate) fn finish(&mut self, uid: UnitId, gen: u64, state: UnitState, now: f64) -> bool {
+        let Some(u) = self
+            .units
+            .get_mut(&uid)
+            .filter(|u| u.generation == gen && u.state.can_transition_to(state))
+        else {
+            return false;
         };
         self.events.unit(now, uid, u, state);
         u.times.finished = Some(now);
@@ -457,6 +456,7 @@ impl<U, P> Ledger<U, P> {
                 self.tracker.record_success(pid);
             }
         }
+        true
     }
 
     /// Give a unit's cores back to its pilot and record the capacity.

@@ -253,6 +253,14 @@ impl FaultPlan {
         self
     }
 
+    /// The verdict on attempt `attempt` of `unit`: when the plan dooms it
+    /// to a kernel fault, its keyed stream, positioned after the draw.
+    pub(crate) fn unit_fault(&self, rng: &SimRng, unit: UnitId, attempt: u32) -> Option<SimRng> {
+        let p = self.unit_failure_p;
+        let mut draw = rng.stream(streams::keyed(streams::UNIT_FAULT, unit.0, attempt));
+        (p > 0.0 && draw.bool(p)).then_some(draw)
+    }
+
     /// Whether the plan injects anything at all.
     pub fn is_active(&self) -> bool {
         self.pilot_crash_mtbf_s.is_some()

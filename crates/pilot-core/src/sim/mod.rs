@@ -5,7 +5,11 @@
 //! Pilots are placeholder jobs on `pilot-saga` adaptors (HPC/HTC/cloud/YARN);
 //! capacity arrives and leaves through the adaptors' uniform alphabet. Units
 //! carry duration *models* instead of kernels; staging cost comes from the
-//! site-to-site [`NetworkModel`]. Everything is reproducible from a seed,
+//! site-to-site [`NetworkModel`]. Units and pilots live in the ledger the
+//! thread service drives too (`crate::ledger`): binding, retries, rebinds,
+//! crash sweeps and the read-plane events are its operations, and this
+//! driver adds the adaptors, staging, sampling, the scale-out policy and
+//! the timers. Everything is reproducible from a seed,
 //! which is what lets the experiment harness sweep hundreds of configurations
 //! (EXP PJ-1/PJ-4/IO-1/DY-1) in milliseconds.
 
@@ -244,9 +248,11 @@ impl SystemMachine {
     /// (conservative; parallel staging would take the max instead).
     fn bind_and_stage(&mut self, t: f64, out: &mut Outbox<Ev>) {
         let network = &self.network;
+        // The run's RNG only forks streams, so a copy forks the same ones.
+        let rng = self.ledger.rng.clone();
+        let fault_p = self.ledger.faults.staging_failure_p;
         self.ledger.bind_pass(t, |l, uid, pid| {
-            l.stage(uid, t);
-            let (Some(u), Some(p)) = (l.unit(uid), l.pilot(pid)) else {
+            let Some((u, p)) = l.stage(uid, pid, t) else {
                 return;
             };
             let dst = p.site;
@@ -259,11 +265,9 @@ impl SystemMachine {
             }
             // Transient stage-in fault: the transfer runs (and pays its
             // time) but fails at the end, charging one attempt.
-            let p = l.faults.staging_failure_p;
             let mut fault_rng =
-                l.rng
-                    .stream(streams::keyed(streams::STAGING_FAULT, uid.0, u.attempts));
-            let ev = if p > 0.0 && fault_rng.bool(p) {
+                rng.stream(streams::keyed(streams::STAGING_FAULT, uid.0, u.attempts));
+            let ev = if fault_p > 0.0 && fault_rng.bool(fault_p) {
                 Ev::StagingFail(uid, u.generation)
             } else {
                 Ev::UnitStaged(uid, u.generation)
@@ -311,19 +315,18 @@ impl Machine for SystemMachine {
                 self.feed_adaptor(now, site, SagaIn::Cancel(job), out);
             }
             Ev::UnitStaged(uid, gen) => {
-                if !self.ledger.start(uid, gen, t) {
-                    return;
-                }
-                let l = &self.ledger;
-                let Some(u) = l.unit(uid) else {
+                let (rng, faults) = (self.ledger.rng.clone(), self.ledger.faults);
+                let Some(u) = self.ledger.start(uid, gen, t) else {
                     return;
                 };
                 // Sample duration deterministically per (unit, attempt).
-                let mut dur_rng = l.rng.stream(uid.0 ^ (u.attempts as u64) << 48);
+                let mut dur_rng = rng.stream(uid.0 ^ (u.attempts as u64) << 48);
                 let dur = u.x.sample(&mut dur_rng).max(0.0);
                 // The attempt's outcome is decided up front: the earliest of
                 // injected kernel fault, deadline expiry, and normal finish.
-                let fault_at = l.doomed(uid).map(|mut r| dur * r.f64());
+                let fault_at = faults
+                    .unit_fault(&rng, uid, u.attempts)
+                    .map(|mut r| dur * r.f64());
                 let deadline_at = u.desc.deadline_s.filter(|d| *d < dur);
                 let (after, ev) = match (fault_at, deadline_at) {
                     (Some(f), d) if d.is_none_or(|d| f <= d) => {
@@ -335,8 +338,7 @@ impl Machine for SystemMachine {
                 out.after(SimDuration::from_secs_f64(after), ev);
             }
             Ev::UnitFinish(uid, gen) => {
-                if self.ledger.is_current(uid, gen, UnitState::Running) {
-                    self.ledger.finish(uid, UnitState::Done, t);
+                if self.ledger.finish(uid, gen, UnitState::Done, t) {
                     self.schedule(out);
                 }
             }

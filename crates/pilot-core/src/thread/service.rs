@@ -667,10 +667,9 @@ impl Mgr {
             Msg::PilotCrash(id) => self.crash_pilot(id),
             Msg::Shutdown => self.begin_shutdown(),
             Msg::Started { unit, gen, t } => {
-                if self.ledger.start(unit, gen, t) {
-                    if let Some(d) = self.ledger.units.get(&unit).and_then(|u| u.desc.deadline_s) {
-                        self.timers.after(d, Msg::UnitDeadline(unit, gen));
-                    }
+                let started = self.ledger.start(unit, gen, t);
+                if let Some(d) = started.and_then(|u| u.desc.deadline_s) {
+                    self.timers.after(d, Msg::UnitDeadline(unit, gen));
                 }
             }
             Msg::Finished {
@@ -680,8 +679,7 @@ impl Mgr {
                 result,
             } => self.unit_finished(unit, gen, t, result),
             Msg::Skipped { unit, gen, t } => {
-                if self.ledger.is_current(unit, gen, UnitState::Assigned) {
-                    self.ledger.finish(unit, UnitState::Canceled, t);
+                if self.ledger.finish(unit, gen, UnitState::Canceled, t) {
                     self.sched_dirty = true;
                 }
             }
@@ -733,10 +731,10 @@ impl Mgr {
     fn bind_and_dispatch(&mut self) {
         let now = self.now();
         self.ledger.bind_pass(now, |l, uid, pid| {
-            let doomed = l.doomed(uid).is_some();
             let (Some(u), Some(p)) = (l.units.get_mut(&uid), l.pilots.get(&pid)) else {
                 return;
             };
+            let doomed = l.faults.unit_fault(&l.rng, uid, u.attempts).is_some();
             let Some(agent) = p.x.agent.as_ref() else {
                 debug_assert!(false, "bind: active pilot {pid} has no agent");
                 return;
@@ -777,7 +775,7 @@ impl Mgr {
             }
             Ok(_) => {
                 u.x.output = Some(result);
-                self.ledger.finish(uid, UnitState::Done, t);
+                self.ledger.finish(uid, gen, UnitState::Done, t);
                 self.sched_dirty = true;
             }
             Err(e) => {
