@@ -80,6 +80,26 @@ pub(crate) struct Retry {
     pub(crate) after_s: f64,
 }
 
+/// A placement the binding pass just committed (the unit is `Assigned`),
+/// handed to the driver for its side of the bind.
+pub(crate) struct Bind<'a, U, P> {
+    pub(crate) uid: UnitId,
+    pub(crate) unit: &'a mut Unit<U>,
+    pub(crate) pilot: &'a Pilot<P>,
+    pub(crate) rng: &'a SimRng,
+    pub(crate) faults: &'a FaultPlan,
+    events: &'a mut Events,
+    now: f64,
+}
+
+impl<U, P> Bind<'_, U, P> {
+    /// The unit begins staging its inputs.
+    pub(crate) fn stage(&mut self) {
+        self.events
+            .unit(self.now, self.uid, self.unit, UnitState::Staging);
+    }
+}
+
 /// The transitions as [`ProjEvent`]s, in the order they happen; `None` once
 /// recording is switched off. A field of its own so a transition can be
 /// recorded while the unit or pilot it moves is borrowed.
@@ -311,7 +331,7 @@ impl<U, P> Ledger<U, P> {
     /// One late-binding pass at `now`: build the pilot snapshots once, let
     /// [`binding::queue_pass`] place pending units on them, and commit each
     /// placement before `then` does the driver's side of it.
-    pub(crate) fn bind_pass(&mut self, now: f64, mut then: impl FnMut(&mut Self, UnitId, PilotId)) {
+    pub(crate) fn bind_pass(&mut self, now: f64, mut then: impl FnMut(Bind<'_, U, P>)) {
         if self.pending.is_empty() {
             return;
         }
@@ -363,21 +383,21 @@ impl<U, P> Ledger<U, P> {
         self.bind
             .note_pass(snapshots.len(), outcome.offered, outcome.binds.len() as u64);
         for (uid, pid) in outcome.binds {
-            if self.commit(uid, pid, now) {
-                then(self, uid, pid);
+            if let Some(bind) = self.commit(uid, pid, now) {
+                then(bind);
             }
         }
     }
 
     /// Commit one placement: reserve the cores, bind the unit (`Assigned`),
     /// and close the recovery a failed attempt opened.
-    fn commit(&mut self, uid: UnitId, pid: PilotId, now: f64) -> bool {
+    fn commit(&mut self, uid: UnitId, pid: PilotId, now: f64) -> Option<Bind<'_, U, P>> {
         // The pass only places live pending units on offered pilots; if a
         // lookup ever misses, skipping the bind keeps the driver alive (the
         // unit stays pending).
         let (Some(u), Some(p)) = (self.units.get_mut(&uid), self.pilots.get_mut(&pid)) else {
             debug_assert!(false, "bind of {uid} to {pid}: entry vanished");
-            return false;
+            return None;
         };
         assert!(
             p.capacity.saturating_sub(p.used) >= u.desc.cores,
@@ -393,19 +413,15 @@ impl<U, P> Ledger<U, P> {
             self.rel.recovery_s += now - f;
             self.rel.recoveries += 1;
         }
-        true
-    }
-
-    /// A unit just bound to `pid` begins staging its inputs; returns both.
-    pub(crate) fn stage(
-        &mut self,
-        uid: UnitId,
-        pid: PilotId,
-        now: f64,
-    ) -> Option<(&Unit<U>, &Pilot<P>)> {
-        let u = self.units.get_mut(&uid)?;
-        self.events.unit(now, uid, u, UnitState::Staging);
-        Some((u, self.pilots.get(&pid)?))
+        Some(Bind {
+            uid,
+            unit: u,
+            pilot: p,
+            rng: &self.rng,
+            faults: &self.faults,
+            events: &mut self.events,
+            now,
+        })
     }
 
     /// Whether `gen` is still the current attempt of `uid`, in `state`.

@@ -248,14 +248,9 @@ impl SystemMachine {
     /// (conservative; parallel staging would take the max instead).
     fn bind_and_stage(&mut self, t: f64, out: &mut Outbox<Ev>) {
         let network = &self.network;
-        // The run's RNG only forks streams, so a copy forks the same ones.
-        let rng = self.ledger.rng.clone();
-        let fault_p = self.ledger.faults.staging_failure_p;
-        self.ledger.bind_pass(t, |l, uid, pid| {
-            let Some((u, p)) = l.stage(uid, pid, t) else {
-                return;
-            };
-            let dst = p.site;
+        self.ledger.bind_pass(t, |mut b| {
+            b.stage();
+            let (uid, u, dst) = (b.uid, &*b.unit, b.pilot.site);
             let mut staging = SimDuration::ZERO;
             for input in &u.desc.inputs {
                 if !input.is_local_to(dst) {
@@ -265,8 +260,10 @@ impl SystemMachine {
             }
             // Transient stage-in fault: the transfer runs (and pays its
             // time) but fails at the end, charging one attempt.
+            let fault_p = b.faults.staging_failure_p;
             let mut fault_rng =
-                rng.stream(streams::keyed(streams::STAGING_FAULT, uid.0, u.attempts));
+                b.rng
+                    .stream(streams::keyed(streams::STAGING_FAULT, uid.0, u.attempts));
             let ev = if fault_p > 0.0 && fault_rng.bool(fault_p) {
                 Ev::StagingFail(uid, u.generation)
             } else {
@@ -315,6 +312,8 @@ impl Machine for SystemMachine {
                 self.feed_adaptor(now, site, SagaIn::Cancel(job), out);
             }
             Ev::UnitStaged(uid, gen) => {
+                // Copies, so the started unit can stay borrowed: the run's
+                // RNG only forks streams, and a copy forks the same ones.
                 let (rng, faults) = (self.ledger.rng.clone(), self.ledger.faults);
                 let Some(u) = self.ledger.start(uid, gen, t) else {
                     return;

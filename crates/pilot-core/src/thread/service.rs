@@ -730,18 +730,15 @@ impl Mgr {
     /// and goes to the pilot's agent.
     fn bind_and_dispatch(&mut self) {
         let now = self.now();
-        self.ledger.bind_pass(now, |l, uid, pid| {
-            let (Some(u), Some(p)) = (l.units.get_mut(&uid), l.pilots.get(&pid)) else {
+        self.ledger.bind_pass(now, |b| {
+            let Some(agent) = b.pilot.x.agent.as_ref() else {
+                debug_assert!(false, "bind: active pilot has no agent");
                 return;
             };
-            let doomed = l.faults.unit_fault(&l.rng, uid, u.attempts).is_some();
-            let Some(agent) = p.x.agent.as_ref() else {
-                debug_assert!(false, "bind: active pilot {pid} has no agent");
-                return;
-            };
-            u.x.doomed = doomed;
+            let u = b.unit;
+            u.x.doomed = b.faults.unit_fault(b.rng, b.uid, u.attempts).is_some();
             agent.submit(Assignment {
-                unit: uid,
+                unit: b.uid,
                 gen: u.generation,
                 cores: u.desc.cores,
                 kernel: Arc::clone(&u.x.kernel),
