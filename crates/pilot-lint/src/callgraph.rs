@@ -674,13 +674,21 @@ const STD_HEADS: [&str; 38] = [
     "PhantomData",
 ];
 
-/// Classify a type expression by its identifiers: the *last* workspace type
-/// mentioned anywhere wins — `Arc<Mutex<Controller>>` types as `Controller`,
-/// and a `HashMap<UnitId, HostUnit>` as its value type, which is what
-/// iterating the collection yields; an expression made of nothing but std
-/// heads, primitives, and type-position keywords is definitely-std; anything
-/// else (generic parameters, unknown names) is untypeable.
+/// Classify a type expression by its identifiers. A workspace head names
+/// the type itself — `Ledger<Dist, SimPilot>` is a `Ledger`. Under a std
+/// head the *last* workspace type mentioned anywhere wins —
+/// `Arc<Mutex<Controller>>` types as `Controller`, and a
+/// `HashMap<UnitId, HostUnit>` as its value type, which is what iterating
+/// the collection yields; an expression made of nothing but std heads,
+/// primitives, and type-position keywords is definitely-std; anything else
+/// (generic parameters, unknown names) is untypeable.
 fn classify_type_idents(idents: &[String], names: &HashSet<String>) -> Option<TypeRef> {
+    // The head is the first capitalised ident: path segments, `dyn`, `mut`
+    // and lifetimes are lowercase.
+    let head = idents.iter().find(|id| id.starts_with(char::is_uppercase));
+    if let Some(h) = head.filter(|h| names.contains(*h) && !STD_HEADS.contains(&h.as_str())) {
+        return Some(TypeRef::Known(h.clone()));
+    }
     for id in idents.iter().rev() {
         if names.contains(id) {
             return Some(TypeRef::Known(id.clone()));
@@ -987,8 +995,8 @@ fn scan_locals(
 /// Type a `for` loop's binding: in `for (k, v) in self.f.iter_mut() {…}`,
 /// the *last* pattern identifier (the value side of a map iteration) gets
 /// the iterated field's classified type — by [`classify_type_idents`]'s
-/// last-workspace-ident rule, a collection field already classifies as its
-/// workspace element type. Only pure field chains, optionally capped by one
+/// last-workspace-ident rule, a std collection field already classifies as
+/// its workspace element type. Only pure field chains, optionally capped by one
 /// identity-element iterator adaptor, are typed.
 fn scan_for_binding(
     code: &[Token],

@@ -221,6 +221,30 @@ fn field_chains_and_for_bindings_type_the_receiver() {
 }
 
 #[test]
+fn a_workspace_head_types_the_field_not_its_last_argument() {
+    // `ledger: Ledger<u32, Pilot>` is a `Ledger`: typing it by its last
+    // workspace ident (`Pilot`) sent `self.ledger.count()` to the wrong
+    // impl. A std head keeps that rule: `Vec<Pilot>` is still a `Pilot`.
+    let (_, g) = ws(&[(
+        "crates/pilot-foo/src/lib.rs",
+        "pub struct Ledger<U, P> {\n    x: U,\n    p: P,\n}\n\n\
+         impl<U, P> Ledger<U, P> {\n    pub fn count(&self) {}\n}\n\n\
+         pub struct Pilot;\n\nimpl Pilot {\n    pub fn count(&self) {}\n}\n\n\
+         pub struct Driver {\n    ledger: Ledger<u32, Pilot>,\n    spare: Vec<Pilot>,\n}\n\n\
+         impl Driver {\n    pub fn go(&self) {\n        self.ledger.count();\n    }\n\n\
+             pub fn each(&self) {\n        for p in self.spare.iter() {\n            p.count();\n        }\n    }\n}\n",
+    )]);
+    for (caller, want) in [
+        ("pilot_foo::Driver::go", "pilot_foo::Ledger::count"),
+        ("pilot_foo::Driver::each", "pilot_foo::Pilot::count"),
+    ] {
+        let s = site(&g, caller, ".count");
+        assert_eq!(s.kind, CallKind::Typed, "{caller}: {s:?}");
+        assert_eq!(target_names(&g, s), [want], "{caller}");
+    }
+}
+
+#[test]
 fn unknown_free_function_stays_unresolved() {
     let (_, g) = ws(&[(
         "crates/pilot-foo/src/lib.rs",
