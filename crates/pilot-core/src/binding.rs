@@ -1,6 +1,6 @@
 //! The late-binding pass shared by every execution driver (thread service,
-//! DES backend, fabric host daemons), and the capacity-indexed queue it
-//! draws from.
+//! DES backend, fabric host daemons — all through `crate::ledger`), and
+//! the capacity-indexed queue it draws from.
 //!
 //! The unit manager re-matches pending compute units against pilot capacity
 //! on every capacity change (the P\* late-binding contract), so the cost of
@@ -71,6 +71,15 @@ impl BindStats {
         self.candidate_comparisons += offered * snapshot_len as u64;
         self.binds += binds;
         self.max_binds_per_pass = self.max_binds_per_pass.max(binds);
+    }
+
+    /// Fold another driver's totals into these.
+    pub fn absorb(&mut self, other: &BindStats) {
+        self.passes += other.passes;
+        self.snapshot_builds += other.snapshot_builds;
+        self.candidate_comparisons += other.candidate_comparisons;
+        self.binds += other.binds;
+        self.max_binds_per_pass = self.max_binds_per_pass.max(other.max_binds_per_pass);
     }
 
     /// Mean binds per pass (0 when no pass ran).

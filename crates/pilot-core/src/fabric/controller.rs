@@ -11,6 +11,13 @@
 //! crashes: units that had *started* on the dead daemon are charged a retry
 //! attempt (with backoff), units merely dispatched re-route for free.
 //!
+//! The daemons keep their shards in `crate::ledger`; the controller does
+//! not, because routing is not binding. It dispatches on an optimistic view
+//! even when no shard has room and records `Assigned` with no pilot, while
+//! the ledger's pass offers only units that fit, reserves their cores and
+//! records the capacity first. On the ledger, the controller would make it
+//! branch on its caller or change every fabric event.
+//!
 //! Lock order: none — the controller is single-threaded and owns all of its
 //! state; daemons only ever talk to it through the transport channels.
 
@@ -69,7 +76,7 @@ pub struct RebalanceEvent {
 
 /// Fencing and exactly-once counters kept by the controller.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ControllerStats {
+pub(crate) struct ControllerStats {
     /// Unit completions accepted (first completion per unit).
     pub completed: u64,
     /// Completions for already-done units accepted at the current epoch.
@@ -112,7 +119,6 @@ struct LedgerEntry {
     /// Attempts charged against the retry budget (kernel faults + manager
     /// crashes while running).
     failures: u32,
-    completed_tick: Option<u64>,
 }
 
 #[derive(Clone, Copy, Debug, Default)]
@@ -123,7 +129,7 @@ struct CapView {
 
 /// The controller. Drive it with [`Controller::step`] once per tick, after
 /// the daemons have stepped.
-pub struct Controller {
+pub(crate) struct Controller {
     lapse_ticks: u64,
     tick_s: f64,
     default_retry: RetryPolicy,
@@ -138,9 +144,8 @@ pub struct Controller {
     cap_view: Vec<CapView>,
     alive: Vec<bool>,
     last_hb: Vec<u64>,
-    ledger: HashMap<UnitId, LedgerEntry>,
-    /// Deterministic iteration order for the ledger.
-    unit_order: Vec<UnitId>,
+    /// The unit ledger, indexed by the dense unit id.
+    units: Vec<LedgerEntry>,
     /// Units waiting to be routed, FIFO.
     route_queue: Vec<UnitId>,
     /// Backoff timers: `(due_tick, unit)` min-heap.
@@ -161,7 +166,6 @@ pub struct Controller {
     /// publishes this ledger after the run (`FabricReport::events`,
     /// `pilot_query::publish_events`), keeping replay determinism intact.
     pub events: Vec<ProjEvent>,
-    next_unit: u64,
 }
 
 impl Controller {
@@ -191,8 +195,7 @@ impl Controller {
             cap_view: vec![CapView::default(); shards],
             alive: vec![true; config.n_daemons],
             last_hb: vec![0; config.n_daemons],
-            ledger: HashMap::new(),
-            unit_order: Vec::new(),
+            units: Vec::new(),
             route_queue: Vec::new(),
             retry_at: BinaryHeap::new(),
             rng: SimRng::new(config.seed),
@@ -201,38 +204,32 @@ impl Controller {
             rebalance_watch: HashMap::new(),
             stats: ControllerStats::default(),
             events: Vec::new(),
-            next_unit: 0,
         }
     }
 
-    /// Virtual time of `tick` in the read-plane event timebase.
-    fn t_s(&self, tick: u64) -> f64 {
-        tick as f64 * self.tick_s
+    /// Record `unit` entering `state` on `tick`, in the read-plane event
+    /// timebase.
+    fn record(&mut self, unit: UnitId, state: UnitState, pilot: Option<PilotId>, tick: u64) {
+        self.events.push(ProjEvent::Unit {
+            unit,
+            state,
+            pilot,
+            t_s: tick as f64 * self.tick_s,
+        });
     }
 
     /// Register a unit for routing. Returns its id.
     pub fn submit(&mut self, desc: UnitDescription, run_ticks: u64) -> UnitId {
-        let id = UnitId(self.next_unit);
-        self.next_unit += 1;
-        self.ledger.insert(
-            id,
-            LedgerEntry {
-                desc,
-                run_ticks,
-                state: LedgerState::Queued,
-                failures: 0,
-                completed_tick: None,
-            },
-        );
-        self.unit_order.push(id);
-        self.route_queue.push(id);
-        // Submission happens before the tick loop starts: virtual time 0.
-        self.events.push(ProjEvent::Unit {
-            unit: id,
-            state: UnitState::Pending,
-            pilot: None,
-            t_s: 0.0,
+        let id = UnitId(self.units.len() as u64);
+        self.units.push(LedgerEntry {
+            desc,
+            run_ticks,
+            state: LedgerState::Queued,
+            failures: 0,
         });
+        self.route_queue.push(id);
+        // Submission happens before the tick loop starts: tick 0.
+        self.record(id, UnitState::Pending, None, 0);
         id
     }
 
@@ -279,13 +276,13 @@ impl Controller {
 
     /// Whether every submitted unit reached a terminal state.
     pub fn done(&self) -> bool {
-        self.stats.completed + self.stats.exhausted == self.next_unit
+        self.lost() == 0
     }
 
     /// Units neither completed nor exhausted (non-zero only when the run hit
     /// its tick budget or every daemon died).
     pub fn lost(&self) -> u64 {
-        self.next_unit - self.stats.completed - self.stats.exhausted
+        self.units.len() as u64 - self.stats.completed - self.stats.exhausted
     }
 
     /// Highest assignment epoch issued across all shards.
@@ -358,19 +355,14 @@ impl Controller {
                             }
                         }
                     }
-                    if let Some(e) = self.ledger.get_mut(&unit) {
+                    if let Some(e) = self.units.get_mut(unit.0 as usize) {
                         if e.state == (LedgerState::Dispatched { shard, epoch }) {
                             e.state = LedgerState::Started { shard, epoch };
                             let cores = e.desc.cores;
                             let view = &mut self.cap_view[shard as usize];
                             view.free_cores = view.free_cores.saturating_sub(cores);
                             view.queued_units = view.queued_units.saturating_sub(1);
-                            self.events.push(ProjEvent::Unit {
-                                unit,
-                                state: UnitState::Running,
-                                pilot: Some(pilot),
-                                t_s: tick as f64 * self.tick_s,
-                            });
+                            self.record(unit, UnitState::Running, Some(pilot), tick);
                         }
                     }
                 }
@@ -387,28 +379,21 @@ impl Controller {
                         self.stats.fenced_reports += 1;
                         continue;
                     }
-                    if let Some(e) = self.ledger.get_mut(&unit) {
+                    if let Some(e) = self.units.get_mut(unit.0 as usize) {
                         match e.state {
                             LedgerState::Done => self.stats.duplicates += 1,
                             LedgerState::Exhausted => self.stats.duplicates += 1,
                             _ => {
                                 e.state = LedgerState::Done;
-                                e.completed_tick = Some(tick);
                                 self.stats.completed += 1;
-                                let view = &mut self.cap_view[shard as usize];
-                                view.free_cores += e.desc.cores;
-                                let t_s = tick as f64 * self.tick_s;
-                                self.events.push(ProjEvent::Unit {
-                                    unit,
-                                    state: UnitState::Done,
-                                    pilot: None,
-                                    t_s,
-                                });
+                                self.cap_view[shard as usize].free_cores += e.desc.cores;
+                                let exec_s = e.run_ticks as f64 * self.tick_s;
+                                self.record(unit, UnitState::Done, None, tick);
                                 self.events.push(ProjEvent::UnitMetric {
                                     unit,
                                     wait_s: 0.0,
-                                    exec_s: e.run_ticks as f64 * self.tick_s,
-                                    t_s,
+                                    exec_s,
+                                    t_s: tick as f64 * self.tick_s,
                                 });
                             }
                         }
@@ -428,7 +413,7 @@ impl Controller {
                         continue;
                     }
                     if let Some(view) = self.cap_view.get_mut(shard as usize) {
-                        if let Some(e) = self.ledger.get(&unit) {
+                        if let Some(e) = self.units.get(unit.0 as usize) {
                             view.free_cores += e.desc.cores;
                         }
                     }
@@ -441,7 +426,7 @@ impl Controller {
     /// Charge one retry attempt to `unit`; either schedule the retry after
     /// backoff or mark the unit exhausted.
     fn charge_failure(&mut self, tick: u64, unit: UnitId) {
-        let Some(e) = self.ledger.get_mut(&unit) else {
+        let Some(e) = self.units.get_mut(unit.0 as usize) else {
             return;
         };
         if matches!(e.state, LedgerState::Done | LedgerState::Exhausted) {
@@ -449,28 +434,21 @@ impl Controller {
         }
         e.failures += 1;
         self.stats.retries_charged += 1;
-        let t_s = tick as f64 * self.tick_s;
-        self.events.push(ProjEvent::Unit {
-            unit,
-            state: UnitState::Failed,
-            pilot: None,
-            t_s,
-        });
         let policy = effective_retry(&e.desc, &self.default_retry);
-        if let Some(delay_s) = policy.retry_after_s(e.failures, &self.rng, unit) {
+        let retry = policy.retry_after_s(e.failures, &self.rng, unit);
+        e.state = if retry.is_some() {
+            LedgerState::Queued
+        } else {
+            LedgerState::Exhausted
+        };
+        self.record(unit, UnitState::Failed, None, tick);
+        if let Some(delay_s) = retry {
             let ticks = ((delay_s / self.tick_s).ceil() as u64).max(1);
-            e.state = LedgerState::Queued;
             self.retry_at
                 .push(std::cmp::Reverse((tick.saturating_add(ticks), unit.0)));
             // Retry granted: the unit conceptually re-enters the queue.
-            self.events.push(ProjEvent::Unit {
-                unit,
-                state: UnitState::Pending,
-                pilot: None,
-                t_s,
-            });
+            self.record(unit, UnitState::Pending, None, tick);
         } else {
-            e.state = LedgerState::Exhausted;
             self.stats.exhausted += 1;
         }
     }
@@ -516,13 +494,11 @@ impl Controller {
                 }
             }
             // Re-drive in-flight units on the moved shards: RB-1 extended to
-            // manager crashes. Iterate in submission order — HashMap order
-            // is nondeterministic and replays must charge identically.
-            let order = self.unit_order.clone();
-            for unit in order {
-                let Some(e) = self.ledger.get_mut(&unit) else {
-                    continue;
-                };
+            // manager crashes, in submission (id) order so replays charge
+            // identically.
+            for i in 0..self.units.len() {
+                let unit = UnitId(i as u64);
+                let e = &mut self.units[i];
                 match e.state {
                     LedgerState::Dispatched { shard, .. } if moved.contains(&shard) => {
                         // Never bound: free re-route, no attempt charged.
@@ -530,12 +506,7 @@ impl Controller {
                         self.route_queue.push(unit);
                         self.stats.free_redispatches += 1;
                         event.units_redispatched += 1;
-                        self.events.push(ProjEvent::Unit {
-                            unit,
-                            state: UnitState::Pending,
-                            pilot: None,
-                            t_s: tick as f64 * self.tick_s,
-                        });
+                        self.record(unit, UnitState::Pending, None, tick);
                     }
                     LedgerState::Started { shard, .. } if moved.contains(&shard) => {
                         // Was executing when its manager died: the attempt
@@ -558,7 +529,7 @@ impl Controller {
             self.retry_at.pop();
             let unit = UnitId(uid);
             if matches!(
-                self.ledger.get(&unit).map(|e| e.state),
+                self.units.get(unit.0 as usize).map(|e| e.state),
                 Some(LedgerState::Queued)
             ) {
                 self.route_queue.push(unit);
@@ -572,7 +543,7 @@ impl Controller {
         }
         let queue = std::mem::take(&mut self.route_queue);
         for unit in queue {
-            let Some(e) = self.ledger.get(&unit) else {
+            let Some(e) = self.units.get(unit.0 as usize) else {
                 continue;
             };
             if e.state != LedgerState::Queued {
@@ -602,7 +573,7 @@ impl Controller {
                 continue;
             };
             let (desc, run_ticks, failures) = {
-                let Some(e) = self.ledger.get_mut(&unit) else {
+                let Some(e) = self.units.get_mut(unit.0 as usize) else {
                     continue;
                 };
                 e.state = LedgerState::Dispatched { shard, epoch };
@@ -610,12 +581,7 @@ impl Controller {
             };
             // Dispatched maps to `Assigned` in the P* machine; the concrete
             // pilot is chosen by the shard owner's local binding pass.
-            self.events.push(ProjEvent::Unit {
-                unit,
-                state: UnitState::Assigned,
-                pilot: None,
-                t_s: self.t_s(tick),
-            });
+            self.record(unit, UnitState::Assigned, None, tick);
             self.cap_view[shard as usize].queued_units += 1;
             if let Some(tx) = to_daemons.get(daemon) {
                 let _ = tx.send(ToDaemon::Dispatch {

@@ -1,7 +1,17 @@
 //! A host daemon: runs a shard (or several) of pilots and units behind the
-//! node abstraction, late-binding locally with the shared
-//! [`crate::binding::queue_pass`] and reporting everything it does to the
-//! controller tagged with the `(shard, epoch)` it believes it owns.
+//! node abstraction and reports everything it does to the controller tagged
+//! with the `(shard, epoch)` it believes it owns.
+//!
+//! Each shard is one [`Ledger`] — the same units, pilots, late-binding pass
+//! and core accounting the thread service and the DES backend drive — with
+//! event recording off: the controller is the fabric's only event writer.
+//! The daemon keeps only what is its own: the shard's epoch, the run ticks
+//! and attempt a dispatch carries (the ledger's unit payload), and its
+//! running units ordered by `(done_tick, unit)`. An assignment adds the
+//! shard's pilots at full capacity; a dispatch adds and submits a unit; a
+//! pass binds and starts units; a due unit draws its injected fault and
+//! finishes `Done` or `Failed`. Retry is the controller's: a failed attempt
+//! comes back as a fresh dispatch with the next attempt number.
 //!
 //! The daemon is deliberately trusting: it never learns it has been deposed
 //! (a real partitioned process wouldn't either). Fencing happens entirely at
@@ -11,16 +21,18 @@
 
 // lint: deterministic — this module must stay replayable: no wall-clock reads
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use crossbeam::channel::{Receiver, Sender};
 use pilot_infra::types::SiteId;
 use pilot_sim::SimRng;
 
-use crate::binding::{self, BindStats, PendingQueue};
-use crate::ids::{PilotId, UnitId};
-use crate::retry::streams;
-use crate::scheduler::{PilotSnapshot, Scheduler};
+use crate::binding::BindStats;
+use crate::ids::UnitId;
+use crate::ledger::{Events, Ledger};
+use crate::retry::FaultPlan;
+use crate::scheduler::Scheduler;
+use crate::state::UnitState;
 
 use super::transport::{ShardCapacity, ToController, ToDaemon};
 use super::{FabricConfig, FabricUnit};
@@ -38,64 +50,51 @@ pub enum KillMode {
     Stall,
 }
 
-struct PilotRt {
-    id: PilotId,
-    total: u32,
-    free: u32,
+/// The ledger's unit payload: what a dispatch carries besides the
+/// description.
+struct Attempt {
+    run_ticks: u64,
+    /// Zero-based attempt number; keys the unit's fault draw.
+    attempt: u32,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum UnitPhase {
-    Pending,
-    Running { done_tick: u64 },
-}
-
-struct UnitRt {
-    unit: FabricUnit,
-    phase: UnitPhase,
-    pilot: Option<PilotId>,
-}
-
-struct ShardRt {
+/// One shard this daemon runs; its ledger keeps time in ticks.
+struct Shard {
     epoch: u64,
-    pilots: Vec<PilotRt>,
-    pending: PendingQueue,
-    units: HashMap<UnitId, UnitRt>,
-    scheduler: Box<dyn Scheduler>,
+    ledger: Ledger<Attempt, ()>,
+    /// Running units by `(done_tick, unit)`.
+    running: BTreeSet<(u64, UnitId)>,
 }
 
 /// One host daemon. Drive it with [`HostDaemon::step`] once per tick,
 /// before the controller.
-pub struct HostDaemon {
+pub(crate) struct HostDaemon {
     index: usize,
     heartbeat_every: u64,
-    unit_failure_p: f64,
+    faults: FaultPlan,
     scheduler_factory: fn() -> Box<dyn Scheduler>,
-    shards: BTreeMap<u32, ShardRt>,
-    kill: Option<KillMode>,
     rng: SimRng,
-    /// Late-binding counters for this daemon's shards.
-    pub bind_stats: BindStats,
+    shards: BTreeMap<u32, Shard>,
+    kill: Option<KillMode>,
 }
 
 impl HostDaemon {
     /// Daemon `index` configured from `config`.
-    pub fn new(index: usize, config: &FabricConfig) -> HostDaemon {
+    pub(crate) fn new(index: usize, config: &FabricConfig) -> HostDaemon {
         HostDaemon {
             index,
             heartbeat_every: config.heartbeat_every.max(1),
-            unit_failure_p: config.faults.unit_failure_p,
+            faults: config.faults,
             scheduler_factory: config.scheduler,
+            rng: SimRng::new(config.seed),
             shards: BTreeMap::new(),
             kill: None,
-            rng: SimRng::new(config.seed),
-            bind_stats: BindStats::default(),
         }
     }
 
     /// Inject a kill. `Crash` halts the daemon; `Stall` turns it into a
     /// zombie that keeps working without heartbeats.
-    pub fn kill(&mut self, mode: KillMode) {
+    pub(crate) fn kill(&mut self, mode: KillMode) {
         // A stall does not resurrect a crashed daemon (and vice versa the
         // harder mode wins).
         if self.kill != Some(KillMode::Crash) {
@@ -104,18 +103,32 @@ impl HostDaemon {
     }
 
     /// Whether a kill has been injected.
-    pub fn killed(&self) -> Option<KillMode> {
+    pub(crate) fn killed(&self) -> Option<KillMode> {
         self.kill
+    }
+
+    /// Late-binding counters summed over this daemon's shards.
+    pub(crate) fn bind_stats(&self) -> BindStats {
+        let mut total = BindStats::default();
+        for s in self.shards.values() {
+            total.absorb(&s.ledger.bind);
+        }
+        total
     }
 
     /// One daemon turn: receive (unless killed), finish due units, run one
     /// late-binding pass per shard, heartbeat (unless killed).
-    pub fn step(&mut self, tick: u64, inbox: &Receiver<ToDaemon>, out: &Sender<ToController>) {
+    pub(crate) fn step(
+        &mut self,
+        tick: u64,
+        inbox: &Receiver<ToDaemon>,
+        out: &Sender<ToController>,
+    ) {
         if self.kill == Some(KillMode::Crash) {
             return;
         }
         if self.kill.is_none() {
-            self.drain_inbox(inbox);
+            self.drain_inbox(tick, inbox);
         }
         self.finish_due(tick, out);
         self.bind_pass(tick, out);
@@ -126,12 +139,8 @@ impl HostDaemon {
                 .map(|(&shard, s)| ShardCapacity {
                     shard,
                     epoch: s.epoch,
-                    free_cores: s.pilots.iter().map(|p| p.free).sum(),
-                    queued_units: s
-                        .units
-                        .values()
-                        .filter(|u| u.phase == UnitPhase::Pending)
-                        .count() as u64,
+                    free_cores: s.ledger.pilots.values().map(|p| p.free_cores()).sum(),
+                    queued_units: s.ledger.backlog() as u64,
                 })
                 .collect();
             let _ = out.send(ToController::Heartbeat {
@@ -142,7 +151,8 @@ impl HostDaemon {
         }
     }
 
-    fn drain_inbox(&mut self, inbox: &Receiver<ToDaemon>) {
+    fn drain_inbox(&mut self, tick: u64, inbox: &Receiver<ToDaemon>) {
+        let now = tick as f64;
         while let Ok(msg) = inbox.try_recv() {
             match msg {
                 ToDaemon::AssignShard {
@@ -155,148 +165,103 @@ impl HostDaemon {
                     if self.shards.get(&shard).map(|s| s.epoch >= epoch) == Some(true) {
                         continue;
                     }
-                    let rt = ShardRt {
-                        epoch,
-                        pilots: pilots
-                            .iter()
-                            .map(|&(id, cores)| PilotRt {
-                                id,
-                                total: cores,
-                                free: cores,
-                            })
-                            .collect(),
-                        pending: PendingQueue::default(),
-                        units: HashMap::new(),
-                        scheduler: (self.scheduler_factory)(),
-                    };
-                    self.shards.insert(shard, rt);
-                }
-                ToDaemon::Dispatch { shard, epoch, unit } => {
-                    let Some(s) = self.shards.get_mut(&shard) else {
-                        continue;
-                    };
-                    if s.epoch != epoch {
-                        continue;
+                    let mut ledger =
+                        Ledger::new((self.scheduler_factory)(), self.rng.clone(), self.faults);
+                    ledger.events = Events(None);
+                    for (id, cores) in pilots {
+                        ledger.add_pilot(id, SiteId(shard as u16), 0, None, ());
+                        ledger.capacity_up(id, cores, now);
                     }
-                    let (id, priority, cores) = (unit.id, unit.desc.priority, unit.desc.cores);
-                    s.units.insert(
-                        id,
-                        UnitRt {
-                            unit,
-                            phase: UnitPhase::Pending,
-                            pilot: None,
+                    let running = BTreeSet::new();
+                    self.shards.insert(
+                        shard,
+                        Shard {
+                            epoch,
+                            ledger,
+                            running,
                         },
                     );
-                    s.pending.push(id, priority, cores);
+                }
+                ToDaemon::Dispatch { shard, epoch, unit } => {
+                    let Some(s) = self.shards.get_mut(&shard).filter(|s| s.epoch == epoch) else {
+                        continue;
+                    };
+                    let FabricUnit {
+                        id,
+                        desc,
+                        run_ticks,
+                        attempt,
+                    } = unit;
+                    s.ledger.add_unit(id, desc, Attempt { run_ticks, attempt });
+                    s.ledger.submit(id, now);
                 }
             }
         }
     }
 
     fn finish_due(&mut self, tick: u64, out: &Sender<ToController>) {
-        let daemon = self.index;
-        let p_fail = self.unit_failure_p;
         for (&shard, s) in self.shards.iter_mut() {
-            // Collect due units sorted by id: HashMap order is
-            // nondeterministic and the report stream must replay.
-            let mut due: Vec<UnitId> = s
-                .units
-                .iter()
-                .filter(|(_, u)| matches!(u.phase, UnitPhase::Running { done_tick } if done_tick <= tick))
-                .map(|(&id, _)| id)
-                .collect();
-            due.sort_by_key(|u| u.0);
-            for id in due {
-                let Some(u) = s.units.remove(&id) else {
+            while let Some(&(done_tick, id)) = s.running.first() {
+                if done_tick > tick {
+                    break;
+                }
+                s.running.pop_first();
+                let Some(u) = s.ledger.units.get(&id) else {
                     continue;
                 };
-                if let Some(pid) = u.pilot {
-                    if let Some(p) = s.pilots.iter_mut().find(|p| p.id == pid) {
-                        p.free = (p.free + u.unit.desc.cores).min(p.total);
-                    }
-                }
                 // The fault draw is keyed by (unit, attempt), so whichever
                 // daemon runs a given attempt draws the same outcome —
                 // rebalances don't perturb the fault sequence.
-                let failed = p_fail > 0.0
-                    && self
-                        .rng
-                        .stream(streams::keyed(streams::UNIT_FAULT, id.0, u.unit.attempt))
-                        .bool(p_fail);
-                let msg = if failed {
-                    ToController::UnitFailed {
+                let gen = u.generation;
+                let failed = (s.ledger.faults)
+                    .unit_fault(&s.ledger.rng, id, u.x.attempt)
+                    .is_some();
+                let (daemon, epoch) = (self.index, s.epoch);
+                let (state, msg) = if failed {
+                    let msg = ToController::UnitFailed {
                         daemon,
                         shard,
-                        epoch: s.epoch,
+                        epoch,
                         unit: id,
                         tick,
-                    }
+                    };
+                    (UnitState::Failed, msg)
                 } else {
-                    ToController::UnitDone {
+                    let msg = ToController::UnitDone {
                         daemon,
                         shard,
-                        epoch: s.epoch,
+                        epoch,
                         unit: id,
                         tick,
-                    }
+                    };
+                    (UnitState::Done, msg)
                 };
+                s.ledger.finish(id, gen, state, tick as f64);
                 let _ = out.send(msg);
             }
         }
     }
 
     fn bind_pass(&mut self, tick: u64, out: &Sender<ToController>) {
-        let daemon = self.index;
+        let now = tick as f64;
         for (&shard, s) in self.shards.iter_mut() {
-            if s.pending.is_empty() || s.pilots.is_empty() {
-                continue;
-            }
-            // Snapshots sorted by pilot id (construction order) — the
-            // deterministic-order contract queue_pass requires.
-            let mut snapshots: Vec<PilotSnapshot> = s
-                .pilots
-                .iter()
-                .map(|p| PilotSnapshot {
-                    pilot: p.id,
-                    site: SiteId(shard as u16),
-                    total_cores: p.total,
-                    free_cores: p.free,
-                    bound_units: 0,
-                    remaining_walltime_s: f64::INFINITY,
-                })
-                .collect();
-            let units = &s.units;
-            let outcome = binding::queue_pass(
-                s.scheduler.as_mut(),
-                &mut snapshots,
-                &mut s.pending,
-                |uid| {
-                    units
-                        .get(&uid)
-                        .filter(|u| u.phase == UnitPhase::Pending)
-                        .map(|u| &u.unit.desc)
-                },
-            );
-            self.bind_stats
-                .note_pass(snapshots.len(), outcome.offered, outcome.binds.len() as u64);
-            for (uid, pid) in outcome.binds {
-                let Some(u) = s.units.get_mut(&uid) else {
+            let mut bound = Vec::new();
+            s.ledger
+                .bind_pass(now, |b| bound.push((b.uid, b.unit.generation)));
+            for (uid, gen) in bound {
+                let Some(u) = s.ledger.start(uid, gen, now) else {
                     continue;
                 };
-                let run = u.unit.run_ticks.max(1);
-                u.phase = UnitPhase::Running {
-                    done_tick: tick + run,
+                let (Some(pilot), run_ticks) = (u.pilot, u.x.run_ticks.max(1)) else {
+                    continue;
                 };
-                u.pilot = Some(pid);
-                if let Some(p) = s.pilots.iter_mut().find(|p| p.id == pid) {
-                    p.free = p.free.saturating_sub(u.unit.desc.cores);
-                }
+                s.running.insert((tick + run_ticks, uid));
                 let _ = out.send(ToController::UnitStarted {
-                    daemon,
+                    daemon: self.index,
                     shard,
                     epoch: s.epoch,
                     unit: uid,
-                    pilot: pid,
+                    pilot,
                     tick,
                 });
             }

@@ -3,10 +3,13 @@
 //! Both execution backends run a single pilot-manager in one process — the
 //! whole system dies with it and the scheduler caps out at one machine. The
 //! fabric is the distributed pilot-manager the P\* model calls for: a
-//! [`Controller`] owning placement and epoch-fenced shard assignment, plus N
-//! [`HostDaemon`]s each running a shard of pilots and units, exchanging
-//! heartbeats over a channel-based [`transport`]. When a daemon's
-//! heartbeats lapse the controller declares it dead, moves its shards under
+//! controller owning placement and epoch-fenced shard assignment, plus N
+//! host daemons each running shards of pilots and units, exchanging
+//! heartbeats over process-local channels. Each shard a daemon runs is one
+//! `crate::ledger::Ledger` — the units, pilots and late-binding pass the
+//! thread service and the DES backend drive — with its events off: the
+//! controller records the fabric's events. When a daemon's heartbeats
+//! lapse the controller declares it dead, moves its shards under
 //! a bumped assignment epoch, and re-drives in-flight units with RB-1
 //! semantics extended to manager crashes; stale owners keep reporting and
 //! every such report is fenced — counted, never applied.
@@ -23,11 +26,13 @@
 
 mod controller;
 mod daemon;
-pub mod transport;
+mod transport;
 
-pub use controller::{Controller, ControllerStats, RebalanceEvent, ShardAssignment};
-pub use daemon::{HostDaemon, KillMode};
-pub use transport::{ShardCapacity, ToController, ToDaemon};
+pub use controller::{RebalanceEvent, ShardAssignment};
+pub use daemon::KillMode;
+
+use controller::Controller;
+use daemon::HostDaemon;
 
 use pilot_sim::SimRng;
 
@@ -41,15 +46,15 @@ use crate::scheduler::{FirstFitScheduler, Scheduler};
 /// execution model (ticks of pilot occupancy) and the attempt number this
 /// dispatch represents (keys the deterministic fault draw).
 #[derive(Clone, Debug)]
-pub struct FabricUnit {
+struct FabricUnit {
     /// Unit id (assigned by the controller at submission).
-    pub id: UnitId,
+    id: UnitId,
     /// Cores, priority, retry policy.
-    pub desc: UnitDescription,
+    desc: UnitDescription,
     /// Ticks the unit occupies its cores once bound.
-    pub run_ticks: u64,
+    run_ticks: u64,
     /// Zero-based attempt number (retry budget charged so far).
-    pub attempt: u32,
+    attempt: u32,
 }
 
 /// A daemon kill injected at a fixed tick.
@@ -287,13 +292,7 @@ impl Fabric {
 
         let mut bind_stats = BindStats::default();
         for d in &daemons {
-            bind_stats.passes += d.bind_stats.passes;
-            bind_stats.snapshot_builds += d.bind_stats.snapshot_builds;
-            bind_stats.candidate_comparisons += d.bind_stats.candidate_comparisons;
-            bind_stats.binds += d.bind_stats.binds;
-            bind_stats.max_binds_per_pass = bind_stats
-                .max_binds_per_pass
-                .max(d.bind_stats.max_binds_per_pass);
+            bind_stats.absorb(&d.bind_stats());
         }
         let stats = controller.stats;
         FabricReport {

@@ -21,7 +21,7 @@ use super::FabricUnit;
 /// aggregate view is the union of the latest report per shard, refreshed by
 /// heartbeats and decremented optimistically between them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShardCapacity {
+pub(crate) struct ShardCapacity {
     /// Which shard.
     pub shard: u32,
     /// Assignment epoch the daemon believes it holds the shard under.
@@ -38,7 +38,7 @@ pub struct ShardCapacity {
 /// exact `append_with_lease`/`FencedEpoch` discipline the replicated broker
 /// applies to deposed partition leaders.
 #[derive(Clone, Debug)]
-pub enum ToController {
+pub(crate) enum ToController {
     /// Liveness + capacity report, sent every `heartbeat_every` ticks.
     Heartbeat {
         /// Reporting daemon.
@@ -93,7 +93,7 @@ pub enum ToController {
 
 /// Controller → daemon traffic.
 #[derive(Clone, Debug)]
-pub enum ToDaemon {
+pub(crate) enum ToDaemon {
     /// Take ownership of a shard at the given epoch, hosting these pilots
     /// (`(pilot, cores)`). Sent at bootstrap and on every rebalance; the
     /// epoch strictly increases per shard, never reuses an older one.
@@ -118,7 +118,7 @@ pub enum ToDaemon {
 }
 
 /// The wired-up channel bundle for one fabric instance.
-pub struct Links {
+pub(crate) struct Links {
     /// Cloneable sender handed to every daemon.
     pub to_controller: Sender<ToController>,
     /// The controller's inbox.
@@ -130,7 +130,7 @@ pub struct Links {
 }
 
 /// Build the channel fabric for `n_daemons` daemons.
-pub fn links(n_daemons: usize) -> Links {
+pub(crate) fn links(n_daemons: usize) -> Links {
     let (to_controller, controller_inbox) = unbounded();
     let mut to_daemons = Vec::with_capacity(n_daemons);
     let mut daemon_inboxes = Vec::with_capacity(n_daemons);

@@ -1,15 +1,17 @@
 //! The Pilot-Manager's ledger: the units and pilots of one run, and every
 //! decision about them that does not depend on how the run is driven.
 //!
-//! Both control-plane drivers keep their units and pilots here — the thread
-//! service ([`crate::thread`], wall-clock seconds since service start) and the
-//! DES backend ([`crate::sim`], virtual seconds). It is sans-I/O: every
-//! operation takes `now` in the driver's timebase, writes the state and its
-//! [`ProjEvent`] once, and hands back what the driver must arm (a retry's
-//! backoff) or do (a bind's dispatch). Drivers keep only what really differs
-//! — agents and wall-clock timers on one side, adaptors, staging and
-//! `Outbox` timers on the other — in a payload (`Unit::x`, `Pilot::x`) that
-//! rides in the same map entry.
+//! Three control-plane drivers keep their units and pilots here: the thread
+//! service ([`crate::thread`], wall-clock seconds since service start), the
+//! DES backend ([`crate::sim`], virtual seconds), and each shard of a fabric
+//! host daemon ([`crate::fabric`], ticks; its events are off, because the
+//! fabric's controller records them). It is sans-I/O: every operation takes
+//! `now` in the driver's timebase, writes the state and its [`ProjEvent`]
+//! once, and hands back what the driver must arm (a retry's backoff) or do
+//! (a bind's dispatch). Drivers keep only what really differs — agents and
+//! wall-clock timers, adaptors, staging and `Outbox` timers, a dispatch's
+//! run ticks and attempt — in a payload (`Unit::x`, `Pilot::x`) that rides
+//! in the same map entry.
 //!
 //! Nothing here branches on which driver calls it; differences are data. A
 //! `Pending` pilot is offered to the binding pass with 0 free cores on both
@@ -71,6 +73,13 @@ pub(crate) struct Pilot<X> {
     /// When the walltime runs out; set on activation.
     expires_at: Option<f64>,
     pub(crate) x: X,
+}
+
+impl<X> Pilot<X> {
+    /// Cores delivered and not reserved.
+    pub(crate) fn free_cores(&self) -> u32 {
+        self.capacity.saturating_sub(self.used)
+    }
 }
 
 /// A retry the ledger granted: the driver calls [`Ledger::release`] with
@@ -143,7 +152,7 @@ impl Events {
     fn capacity<X>(&mut self, t_s: f64, pilot: PilotId, p: &Pilot<X>) {
         self.push(ProjEvent::PilotCapacity {
             pilot,
-            free_cores: p.capacity.saturating_sub(p.used),
+            free_cores: p.free_cores(),
             total_cores: p.capacity,
             t_s,
         });
@@ -189,15 +198,6 @@ impl<U, P> Ledger<U, P> {
     pub(crate) fn set_faults(&mut self, faults: FaultPlan) {
         self.faults = faults;
         self.tracker = FailureTracker::new(faults.blacklist_after);
-    }
-
-    // The DES driver (a `// lint: deterministic` module) looks pilots up
-    // through this rather than `pilots.get`: pilot-lint types a field
-    // declared `Ledger<Dist, SimPilot>` by its last workspace type, so a
-    // `.get` on the map behind it falls back to every `get` in the
-    // workspace, clock-reading ones included.
-    pub(crate) fn pilot(&self, id: PilotId) -> Option<&Pilot<P>> {
-        self.pilots.get(&id)
     }
 
     /// Entries in the late-binding queue, stale ones included.
@@ -356,7 +356,7 @@ impl<U, P> Ledger<U, P> {
                 total_cores: p.capacity,
                 free_cores: match p.state {
                     PilotState::Pending => 0,
-                    _ => p.capacity.saturating_sub(p.used),
+                    _ => p.free_cores(),
                 },
                 bound_units: p.bound,
                 remaining_walltime_s: p.expires_at.map_or(f64::INFINITY, |e| e - now),
@@ -400,7 +400,7 @@ impl<U, P> Ledger<U, P> {
             return None;
         };
         assert!(
-            p.capacity.saturating_sub(p.used) >= u.desc.cores,
+            p.free_cores() >= u.desc.cores,
             "scheduler over-committed pilot {pid}"
         );
         p.used += u.desc.cores;

@@ -52,8 +52,8 @@ pub use clock::WallClock;
 pub use describe::{DataLocation, PilotDescription, UnitDescription};
 pub use events::{EventCodecError, EventSink, ProjEvent};
 pub use fabric::{
-    Controller, DaemonKillSchedule, Fabric, FabricConfig, FabricReport, FabricUnit, HostDaemon,
-    KillMode, RebalanceEvent, ScheduledKill, ShardAssignment,
+    DaemonKillSchedule, Fabric, FabricConfig, FabricReport, KillMode, RebalanceEvent,
+    ScheduledKill, ShardAssignment,
 };
 pub use ids::{PilotId, UnitId};
 pub use metrics::{OverheadBreakdown, PilotTimes, UnitTimes};

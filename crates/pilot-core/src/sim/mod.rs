@@ -291,7 +291,7 @@ impl Machine for SystemMachine {
         match event {
             Ev::Saga { site, ev } => self.feed_adaptor(now, site, ev, out),
             Ev::SubmitPilot(pid) => {
-                let Some(p) = self.ledger.pilot(pid) else {
+                let Some(p) = self.ledger.pilots.get(&pid) else {
                     debug_assert!(false, "submit event for unknown pilot {pid}");
                     return;
                 };
@@ -305,7 +305,7 @@ impl Machine for SystemMachine {
                 self.schedule(out);
             }
             Ev::CancelPilot(pid) => {
-                let Some(p) = self.ledger.pilot(pid) else {
+                let Some(p) = self.ledger.pilots.get(&pid) else {
                     return;
                 };
                 let (site, job) = (usize::from(p.site.0), p.x.job);
@@ -369,7 +369,7 @@ impl Machine for SystemMachine {
                     return;
                 }
                 // Release the placeholder job on the infrastructure.
-                if let Some(p) = self.ledger.pilot(pid) {
+                if let Some(p) = self.ledger.pilots.get(&pid) {
                     let (site, job) = (usize::from(p.site.0), p.x.job);
                     self.feed_adaptor(now, site, SagaIn::Cancel(job), out);
                 }
