@@ -6,11 +6,16 @@
 //! from its seed. Fixed scenarios, FB-1's quick run among them, pin the
 //! whole report to a digest.
 
+// The DES digest helpers are unused here: only the fold applies.
+#[allow(dead_code)]
+mod common;
+
 use pilot_abstraction::core::describe::UnitDescription;
 use pilot_abstraction::core::fabric::{
     DaemonKillSchedule, Fabric, FabricConfig, FabricReport, KillMode, ScheduledKill,
 };
 use pilot_abstraction::core::retry::{FaultPlan, RetryPolicy};
+use pilot_abstraction::core::state::UnitState;
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
@@ -66,6 +71,21 @@ proptest! {
             report.total_units,
             "terminal-state accounting broke: {:?}",
             &report
+        );
+
+        // The event stream says what the counters say, exactly once: no
+        // fenced report of a deposed daemon ever reaches it.
+        let tables = common::fold(&report.events);
+        let dash = tables.dashboard();
+        prop_assert_eq!(dash.units_in(UnitState::Done), report.completed);
+        prop_assert_eq!(dash.units_in(UnitState::Failed), report.exhausted);
+        prop_assert_eq!(dash.exec_count, report.completed);
+        prop_assert_eq!(dash.units_by_state.iter().sum::<u64>(), report.total_units);
+        // Every re-entry into `Pending` is a granted retry or a free
+        // re-dispatch.
+        prop_assert_eq!(
+            common::requeues(&report.events) as u64,
+            report.retries_charged - report.exhausted + report.free_redispatches
         );
 
         // The assignment log is an exclusive-ownership history: no two
