@@ -205,7 +205,11 @@ impl SystemMachine {
                 }
                 self.schedule(out);
             }
-            SagaOut::CapacityDown { total, .. } => self.ledger.capacity_down(pid, total, t),
+            SagaOut::CapacityDown { total, .. } => {
+                // The units it rebinds may fit elsewhere right now.
+                self.ledger.capacity_down(pid, total, t);
+                self.schedule(out);
+            }
             SagaOut::Done { outcome, .. } => {
                 let state = match outcome {
                     JobOutcome::Completed | JobOutcome::WalltimeExceeded => PilotState::Done,

@@ -109,7 +109,7 @@ fn htc_slot_failures_do_not_lose_units() {
     }
     let report = sys.run(SimTime::from_hours(48));
     common::assert_fold_matches(&report);
-    common::assert_digest(&report, 0xcde2_9f16_d9f4_2fb9);
+    common::assert_digest(&report, 0x3a47_4c9f_3e59_aadf);
     assert_eq!(
         report.count(UnitState::Done),
         60,
@@ -134,6 +134,86 @@ fn htc_slot_failures_do_not_lose_units() {
         common::requeues(&report.events) > 0 || capacity_drops > 0,
         "expected at least one failure event at MTBF 600s with 400s tasks"
     );
+}
+
+#[test]
+fn a_capacity_drop_rebinds_onto_free_cores_at_once() {
+    // Eight long units fill a flaky HTC glide-in (the lower pilot id, so
+    // first-fit prefers it) while a cloud pilot holds 32 free cores. With
+    // no unit faults and walltimes past the last finish, every re-entry
+    // into `Pending` is a capacity drop's rebind, and the cloud pilot can
+    // take it: the unit's next `Assigned` is at the drop's instant.
+    let mut sys = SimPilotSystem::new(5);
+    let htc = sys.add_resource(ResourceAdaptor::htc(HtcPool::new(
+        HtcConfig::reliable("flaky", 8).with_failures(900.0),
+    )));
+    let cloud = sys.add_resource(ResourceAdaptor::cloud(CloudProvider::new(
+        CloudConfig::generic("aws", 64),
+    )));
+    let walltime = SimDuration::from_hours(12);
+    sys.submit_pilot(SimTime::ZERO, htc, PilotDescription::new(8, walltime));
+    sys.submit_pilot(SimTime::ZERO, cloud, PilotDescription::new(32, walltime));
+    for _ in 0..8 {
+        sys.submit_unit_fixed(SimTime::from_secs(1_800), UnitDescription::new(1), 3_000.0);
+    }
+    let report = sys.run(SimTime::from_hours(24));
+    common::assert_fold_matches(&report);
+    assert_eq!(report.count(UnitState::Done), 8);
+
+    let mut drops = Vec::new();
+    let mut total = HashMap::new();
+    for ev in &report.events {
+        if let ProjEvent::PilotCapacity {
+            pilot,
+            total_cores,
+            t_s,
+            ..
+        } = ev
+        {
+            if total
+                .insert(*pilot, *total_cores)
+                .is_some_and(|before| *total_cores < before)
+            {
+                drops.push(*t_s);
+            }
+        }
+    }
+    let mut pending = HashMap::new();
+    let mut rebinds = 0;
+    for (i, ev) in report.events.iter().enumerate() {
+        let ProjEvent::Unit {
+            unit,
+            state: UnitState::Pending,
+            t_s,
+            ..
+        } = ev
+        else {
+            continue;
+        };
+        if pending.insert(*unit, *t_s).is_none() {
+            continue;
+        }
+        rebinds += 1;
+        assert!(
+            drops.contains(t_s),
+            "unit {unit} rebound at {t_s} s, no drop"
+        );
+        let next = report.events[i..].iter().find_map(|ev| match ev {
+            ProjEvent::Unit {
+                unit: u,
+                state: UnitState::Assigned,
+                t_s,
+                ..
+            } if u == unit => Some(*t_s),
+            _ => None,
+        });
+        assert_eq!(
+            next,
+            Some(*t_s),
+            "unit {unit}, rebound at {t_s} s, waited for its next bind"
+        );
+    }
+    assert!(rebinds > 0, "no capacity drop rebound a unit");
 }
 
 #[test]

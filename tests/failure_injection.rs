@@ -156,7 +156,7 @@ fn very_unreliable_htc_still_converges() {
     }
     let report = sys.run(SimTime::from_hours(48));
     common::assert_fold_matches(&report);
-    common::assert_digest(&report, 0x47e7_1c0f_44af_c79e);
+    common::assert_digest(&report, 0x1ee7_3499_63bf_6fb0);
     assert_eq!(report.count(UnitState::Done), 30);
     let requeues = common::requeues(&report.events);
     assert!(requeues > 0, "expected churn under MTBF 500s / 350s tasks");
