@@ -213,11 +213,9 @@ impl HostDaemon {
                 // daemon runs a given attempt draws the same outcome —
                 // rebalances don't perturb the fault sequence.
                 let gen = u.generation;
-                let failed = (s.ledger.faults)
-                    .unit_fault(&s.ledger.rng, id, u.x.attempt)
-                    .is_some();
+                let fault = s.ledger.faults.unit_fault(&s.ledger.rng, id, u.x.attempt);
                 let (daemon, epoch) = (self.index, s.epoch);
-                let (state, msg) = if failed {
+                let (state, msg) = if fault.is_some() {
                     let msg = ToController::UnitFailed {
                         daemon,
                         shard,

@@ -222,9 +222,9 @@ fn field_chains_and_for_bindings_type_the_receiver() {
 
 #[test]
 fn a_workspace_head_types_the_field_not_its_last_argument() {
-    // `ledger: Ledger<u32, Pilot>` is a `Ledger`: typing it by its last
-    // workspace ident (`Pilot`) sent `self.ledger.count()` to the wrong
-    // impl. A std head keeps that rule: `Vec<Pilot>` is still a `Pilot`.
+    // `ledger: Ledger<u32, Pilot>` is a `Ledger`, not its last workspace
+    // ident `Pilot`; under a std head that rule still holds, so iterating a
+    // `Vec<Pilot>` yields a `Pilot`.
     let (_, g) = ws(&[(
         "crates/pilot-foo/src/lib.rs",
         "pub struct Ledger<U, P> {\n    x: U,\n    p: P,\n}\n\n\
