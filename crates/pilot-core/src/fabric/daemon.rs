@@ -9,9 +9,10 @@
 //! and attempt a dispatch carries (the ledger's unit payload), and its
 //! running units ordered by `(done_tick, unit)`. An assignment adds the
 //! shard's pilots at full capacity; a dispatch adds and submits a unit; a
-//! pass binds and starts units; a due unit draws its injected fault and
-//! finishes `Done` or `Failed`. Retry is the controller's: a failed attempt
-//! comes back as a fresh dispatch with the next attempt number.
+//! pass binds and starts units; a due unit draws its injected fault,
+//! finishes `Done` or `Failed`, and leaves the ledger. Retry is the
+//! controller's: a failed attempt comes back as a fresh dispatch with the
+//! next attempt number.
 //!
 //! The daemon is deliberately trusting: it never learns it has been deposed
 //! (a real partitioned process wouldn't either). Fencing happens entirely at
@@ -235,6 +236,9 @@ impl HostDaemon {
                     (UnitState::Done, msg)
                 };
                 s.ledger.finish(id, gen, state, tick as f64);
+                // The controller keeps every unit; a finished one has nothing
+                // left to do here, and a retry arrives as a fresh dispatch.
+                s.ledger.units.remove(&id);
                 let _ = out.send(msg);
             }
         }
